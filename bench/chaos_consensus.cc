@@ -5,10 +5,13 @@
 // probes, block deadlines) and fails over to a pre-published term-2 flow
 // set. Reported: requests completed across both terms, how many in-flight
 // requests the clients resubmitted, and the virtual recovery time from the
-// crash to the first / last client's first term-2 reply.
+// crash to the first / last client's first term-2 reply. Each run is the
+// root task of a 1-worker exec::Engine, so the rows are byte-identical from
+// run to run at a given --seed.
 
 #include "apps/consensus/consensus.h"
 #include "bench/bench_common.h"
+#include "common/exec/engine.h"
 
 namespace dfi::bench {
 namespace {
@@ -31,7 +34,12 @@ void Run() {
     auto addrs = MakeCluster(
         &fabric, chaos.base.num_replicas + chaos.base.num_client_nodes);
     DfiRuntime dfi(&fabric);
-    auto r = consensus::RunMultiPaxosChaos(&dfi, addrs, chaos);
+    StatusOr<ChaosResult> r = Status::Internal("not run");
+    exec::Engine engine({.workers = 1});
+    engine.Spawn(0, "chaos-root", [&] {
+      r = consensus::RunMultiPaxosChaos(&dfi, addrs, chaos);
+    });
+    engine.Run();
     DFI_CHECK(r.ok()) << r.status();
     DFI_CHECK_EQ(r->completed,
                  static_cast<uint64_t>(chaos.base.num_clients) *
