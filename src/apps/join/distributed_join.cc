@@ -8,7 +8,6 @@
 #include "bench_util/workload.h"
 #include "common/exec/engine.h"
 #include "core/graph/executor.h"
-#include "core/replicate_flow.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "mpi/mpi_env.h"
@@ -63,6 +62,60 @@ void JoinClocks(ShuffleSource& a, ShuffleTarget& b) {
   b.clock().AdvanceTo(t);
 }
 
+/// The join's dataflow graph: the worker fleet appears twice (scan side /
+/// join side, same placement) with the inner relation's flow as a typed
+/// edge between them. `inner` is the only difference between the radix
+/// join (kShuffle) and the fragment-and-replicate join (kReplicate, paper
+/// Figure 14: one flow swapped); only the radix join shuffles the outer
+/// relation too. The workers claim the endpoints (kCustom vertices).
+StatusOr<std::unique_ptr<graph::GraphRun>> StartJoinGraph(
+    DfiRuntime* dfi, const std::vector<std::string>& nodes,
+    const JoinConfig& config, graph::EdgeKind inner) {
+  const uint32_t W = config.total_workers();
+  graph::GraphSpec gs;
+  gs.name = "join";
+  const DfiNodes grid = DfiNodes::GridOf(nodes, config.workers_per_node);
+  graph::VertexSpec scan_vertex;
+  scan_vertex.name = "scan";
+  scan_vertex.workers = grid;
+  scan_vertex.output = {JoinSchema(), Ordering::kNone};
+  graph::VertexSpec join_vertex;
+  join_vertex.name = "join";
+  join_vertex.workers = grid;
+  gs.vertices = {std::move(scan_vertex), std::move(join_vertex)};
+  graph::EdgeSpec edge;
+  edge.name = "join.inner";
+  edge.from = "scan";
+  edge.to = "join";
+  edge.kind = inner;
+  edge.type = {JoinSchema(), Ordering::kNone};
+  if (inner == graph::EdgeKind::kReplicate) {
+    edge.options.use_multicast = true;
+    // Size the receive pools so the whole (small) inner relation fits
+    // without credit blocking: workers push everything before they start
+    // draining.
+    const uint64_t segments_needed =
+        (config.inner_tuples * sizeof(bench::JoinTuple)) / 4000 + 2 * W + 16;
+    edge.options.segments_per_ring = static_cast<uint32_t>(segments_needed);
+    gs.edges = {std::move(edge)};
+  } else {
+    edge.routing = [W](TupleView t, uint32_t) {
+      return NetworkDest(t.Get<uint64_t>(0), W);
+    };
+    graph::EdgeSpec outer = edge;
+    outer.name = "join.outer";
+    gs.edges = {std::move(edge), std::move(outer)};
+  }
+  // Build() validates schemas and routing in one pass; Instantiate()
+  // registers every flow in a single batched control-plane RPC.
+  DFI_ASSIGN_OR_RETURN(graph::Graph g,
+                       graph::Graph::Build(std::move(gs), &dfi->fabric()));
+  DFI_ASSIGN_OR_RETURN(std::unique_ptr<graph::GraphRun> run,
+                       g.Instantiate(dfi));
+  DFI_RETURN_IF_ERROR(run->Start());
+  return run;
+}
+
 }  // namespace
 
 uint64_t ReferenceJoinMatches(const JoinConfig& config) {
@@ -85,41 +138,9 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
   const uint32_t W = config.total_workers();
   const net::SimConfig& sim = dfi->config();
 
-  RoutingFn routing = [W](TupleView t, uint32_t) {
-    return NetworkDest(t.Get<uint64_t>(0), W);
-  };
-  // Flow setup as a typed dataflow graph: the worker fleet appears twice
-  // (scan side / join side, same placement) with both relations' shuffles
-  // as typed edges between them. Build() validates schemas and routing in
-  // one pass and Instantiate() registers both flows in a single batched
-  // control-plane RPC; the fused scan/partition/build/probe loop below
-  // claims the endpoints (kCustom vertices).
-  graph::GraphSpec gs;
-  gs.name = "join";
-  const DfiNodes grid = DfiNodes::GridOf(nodes, config.workers_per_node);
-  graph::VertexSpec scan_vertex;
-  scan_vertex.name = "scan";
-  scan_vertex.workers = grid;
-  scan_vertex.output = {JoinSchema(), Ordering::kNone};
-  graph::VertexSpec join_vertex;
-  join_vertex.name = "join";
-  join_vertex.workers = grid;
-  gs.vertices = {std::move(scan_vertex), std::move(join_vertex)};
-  for (const char* name : {"join.inner", "join.outer"}) {
-    graph::EdgeSpec edge;
-    edge.name = name;
-    edge.from = "scan";
-    edge.to = "join";
-    edge.kind = graph::EdgeKind::kShuffle;
-    edge.type = {JoinSchema(), Ordering::kNone};
-    edge.routing = routing;
-    gs.edges.push_back(std::move(edge));
-  }
-  DFI_ASSIGN_OR_RETURN(graph::Graph g,
-                       graph::Graph::Build(std::move(gs), &dfi->fabric()));
-  DFI_ASSIGN_OR_RETURN(std::unique_ptr<graph::GraphRun> run,
-                       g.Instantiate(dfi));
-  DFI_RETURN_IF_ERROR(run->Start());
+  DFI_ASSIGN_OR_RETURN(
+      std::unique_ptr<graph::GraphRun> run,
+      StartJoinGraph(dfi, nodes, config, graph::EdgeKind::kShuffle));
 
   std::atomic<uint64_t> total_matches{0};
   std::vector<SimTime> t_partition(W), t_total(W);
@@ -276,85 +297,6 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
   result.phases.network_partition = part_sum / W;
   result.phases.total = total_max;
   result.phases.build_probe = total_max - result.phases.network_partition;
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Graph-native radix join: the same join on built-in operators
-// ---------------------------------------------------------------------------
-
-StatusOr<JoinResult> RunGraphRadixJoin(DfiRuntime* dfi,
-                                       const std::vector<std::string>& nodes,
-                                       const JoinConfig& config) {
-  if (nodes.size() != config.num_nodes) {
-    return Status::InvalidArgument("node list does not match config");
-  }
-  const DfiNodes grid = DfiNodes::GridOf(nodes, config.workers_per_node);
-
-  graph::GraphSpec gs;
-  gs.name = "graph-join";
-  graph::VertexSpec inner_scan;
-  inner_scan.name = "inner-scan";
-  inner_scan.kind = graph::OpKind::kSource;
-  inner_scan.workers = grid;
-  inner_scan.output = {JoinSchema(), Ordering::kNone};
-  inner_scan.source_fn = [config](graph::OpContext& ctx,
-                                  const graph::EmitFn& emit) -> Status {
-    for (const bench::JoinTuple& t : InnerChunk(config, ctx.worker)) {
-      DFI_RETURN_IF_ERROR(emit(&t));
-    }
-    return Status::OK();
-  };
-  graph::VertexSpec outer_scan;
-  outer_scan.name = "outer-scan";
-  outer_scan.kind = graph::OpKind::kSource;
-  outer_scan.workers = grid;
-  outer_scan.output = {JoinSchema(), Ordering::kNone};
-  outer_scan.source_fn = [config](graph::OpContext& ctx,
-                                  const graph::EmitFn& emit) -> Status {
-    for (const bench::JoinTuple& t : OuterChunk(config, ctx.worker)) {
-      DFI_RETURN_IF_ERROR(emit(&t));
-    }
-    return Status::OK();
-  };
-  graph::VertexSpec join;
-  join.name = "join";
-  join.kind = graph::OpKind::kJoin;
-  join.workers = grid;
-  join.join = {.key_field = 0,
-               .payload_field = 1,
-               .local_radix_bits = config.local_radix_bits,
-               .partition_cost_ns = config.partition_cost_ns,
-               .build_cost_ns = config.build_cost_ns,
-               .probe_cost_ns = config.probe_cost_ns};
-  gs.vertices = {std::move(inner_scan), std::move(outer_scan),
-                 std::move(join)};
-  // In-edge order defines build vs probe side: edge 0 is built, edge 1
-  // probed.
-  graph::EdgeSpec inner_edge;
-  inner_edge.name = "graph-join.inner";
-  inner_edge.from = "inner-scan";
-  inner_edge.to = "join";
-  inner_edge.type = {JoinSchema(), Ordering::kNone};
-  graph::EdgeSpec outer_edge;
-  outer_edge.name = "graph-join.outer";
-  outer_edge.from = "outer-scan";
-  outer_edge.to = "join";
-  outer_edge.type = {JoinSchema(), Ordering::kNone};
-  gs.edges = {std::move(inner_edge), std::move(outer_edge)};
-
-  DFI_ASSIGN_OR_RETURN(graph::Graph g,
-                       graph::Graph::Build(std::move(gs), &dfi->fabric()));
-  DFI_ASSIGN_OR_RETURN(std::unique_ptr<graph::GraphRun> run,
-                       g.Instantiate(dfi));
-  DFI_RETURN_IF_ERROR(run->Start());
-  DFI_RETURN_IF_ERROR(run->Finish());
-
-  const graph::GraphRun::VertexStats stats = run->stats("join");
-  JoinResult result;
-  result.matches = stats.join_matches;
-  result.phases.total = stats.max_clock;
-  result.phases.build_probe = stats.max_clock;
   return result;
 }
 
@@ -572,18 +514,9 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
   const uint32_t W = config.total_workers();
   const net::SimConfig& sim = dfi->config();
 
-  ReplicateFlowSpec spec;
-  spec.name = "join.replicate";
-  spec.sources = DfiNodes::GridOf(nodes, config.workers_per_node);
-  spec.targets = DfiNodes::GridOf(nodes, config.workers_per_node);
-  spec.schema = JoinSchema();
-  spec.options.use_multicast = true;
-  // Size the receive pools so the whole (small) inner relation fits without
-  // credit blocking: workers push everything before they start draining.
-  const uint64_t segments_needed =
-      (config.inner_tuples * sizeof(bench::JoinTuple)) / 4000 + 2 * W + 16;
-  spec.options.segments_per_ring = static_cast<uint32_t>(segments_needed);
-  DFI_RETURN_IF_ERROR(dfi->InitReplicateFlow(std::move(spec)));
+  DFI_ASSIGN_OR_RETURN(
+      std::unique_ptr<graph::GraphRun> run,
+      StartJoinGraph(dfi, nodes, config, graph::EdgeKind::kReplicate));
 
   std::atomic<uint64_t> total_matches{0};
   std::vector<SimTime> t_repl(W), t_total(W);
@@ -593,8 +526,8 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
   for (uint32_t w = 0; w < W; ++w) {
     workers.Spawn(w / config.workers_per_node,
                   "replicate-join.w" + std::to_string(w), [&, w] {
-      auto src = dfi->CreateReplicateSource("join.replicate", w);
-      auto tgt = dfi->CreateReplicateTarget("join.replicate", w);
+      auto src = run->ClaimReplicateSource("join.inner", w);
+      auto tgt = run->ClaimReplicateTarget("join.inner", w);
       if (!src.ok() || !tgt.ok()) {
         failed.store(true);
         return;
@@ -637,7 +570,7 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
     });
   }
   workers.Join();
-  DFI_RETURN_IF_ERROR(dfi->RemoveFlow("join.replicate"));
+  DFI_RETURN_IF_ERROR(run->Finish());
   if (failed.load()) return Status::Internal("replicate join worker failed");
 
   JoinResult result;

@@ -54,19 +54,11 @@ struct JoinResult {
 
 /// Distributed radix hash join on two bandwidth-optimized DFI shuffle flows
 /// (paper Figure 2): no histogram pass, no barrier; incoming tuples are
-/// partitioned/built/probed in a streaming fashion.
+/// partitioned/built/probed in a streaming fashion. The flows are the typed
+/// edges of a two-vertex dataflow graph (scan -> join).
 StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
                                      const std::vector<std::string>& nodes,
                                      const JoinConfig& config);
-
-/// The same radix join expressed entirely as built-in graph operators: two
-/// kSource scans feeding a kJoin vertex over typed shuffle edges. Produces
-/// the same match count as RunDfiRadixJoin; phase timings are coarser (the
-/// built-in operator does not overlap push and consume), so the fused
-/// variant above remains the figure-13 configuration.
-StatusOr<JoinResult> RunGraphRadixJoin(DfiRuntime* dfi,
-                                       const std::vector<std::string>& nodes,
-                                       const JoinConfig& config);
 
 /// Baseline: MPI radix join following Barthels et al. [2] — histogram pass,
 /// exclusive-offset MPI_Put network partitioning, fence barrier, then local
@@ -78,7 +70,8 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
 /// Fragment-and-replicate join: the (small) inner relation is replicated to
 /// every worker over one DFI replicate flow (multicast); the outer relation
 /// is probed locally without any network transfer (paper section 6.3.1,
-/// "Join Adaptability").
+/// "Join Adaptability"). Same graph as RunDfiRadixJoin with the inner edge
+/// swapped from shuffle to replicate and no outer edge.
 StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
                                          const std::vector<std::string>& nodes,
                                          const JoinConfig& config);

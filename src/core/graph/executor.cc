@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "core/dfi_runtime.h"
@@ -215,7 +214,6 @@ void GraphRun::AccumulateStats(int vertex, const VertexStats& worker_stats) {
   VertexStats& vs = vertex_stats_[vertex];
   vs.tuples_in += worker_stats.tuples_in;
   vs.tuples_out += worker_stats.tuples_out;
-  vs.join_matches += worker_stats.join_matches;
   vs.max_clock = std::max(vs.max_clock, worker_stats.max_clock);
 }
 
@@ -239,8 +237,6 @@ Status GraphRun::RunWorker(int vertex, uint32_t worker, VertexStats* out) {
       return RunTransformLike(vertex, worker, out);
     case OpKind::kAggregate:
       return RunAggregate(vertex, worker, out);
-    case OpKind::kJoin:
-      return RunJoin(vertex, worker, out);
     case OpKind::kSink:
       return RunSink(vertex, worker, out);
     case OpKind::kCustom:
@@ -372,49 +368,6 @@ Status GraphRun::RunAggregate(int vertex, uint32_t worker, VertexStats* out) {
   out->max_clock = has_out
                        ? std::max(target.clock().now(), port.clock().now())
                        : target.clock().now();
-  return Status::OK();
-}
-
-Status GraphRun::RunJoin(int vertex, uint32_t worker, VertexStats* out) {
-  const VertexSpec& vs = graph_.spec().vertices[vertex];
-  const Graph::VertexInfo& vi = graph_.vertex_info(vertex);
-  const JoinOpSpec& js = vs.join;
-  ShuffleTarget build(edges_[vi.in[0]].shuffle, worker);
-  ShuffleTarget probe(edges_[vi.in[1]].shuffle, worker);
-  const Schema& build_schema = graph_.spec().edges[vi.in[0]].type.schema;
-  const Schema& probe_schema = graph_.spec().edges[vi.in[1]].type.schema;
-
-  // Build phase: hash the inner input as it streams in. Multiplicity per
-  // key is all the probe side needs to count matches.
-  std::unordered_map<uint64_t, uint64_t> table;
-  uint64_t consumed = 0;
-  TupleView tuple;
-  for (;;) {
-    ConsumeResult r = build.Consume(&tuple);
-    if (r == ConsumeResult::kFlowEnd) break;
-    if (r == ConsumeResult::kError) return build.last_status();
-    ++consumed;
-    build.clock().Advance(js.partition_cost_ns + js.build_cost_ns);
-    ++table[ReadUnsigned(tuple.data(), build_schema, js.key_field)];
-  }
-
-  // Probe phase starts no earlier than the build finished (same max-join
-  // of clocks as the hand-rolled join app).
-  probe.clock().AdvanceTo(build.clock().now());
-  uint64_t matches = 0;
-  for (;;) {
-    ConsumeResult r = probe.Consume(&tuple);
-    if (r == ConsumeResult::kFlowEnd) break;
-    if (r == ConsumeResult::kError) return probe.last_status();
-    ++consumed;
-    probe.clock().Advance(js.partition_cost_ns + js.probe_cost_ns);
-    auto it =
-        table.find(ReadUnsigned(tuple.data(), probe_schema, js.key_field));
-    if (it != table.end()) matches += it->second;
-  }
-  out->tuples_in = consumed;
-  out->join_matches = matches;
-  out->max_clock = probe.clock().now();
   return Status::OK();
 }
 

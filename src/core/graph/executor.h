@@ -74,7 +74,6 @@ class GraphRun {
   struct VertexStats {
     uint64_t tuples_in = 0;
     uint64_t tuples_out = 0;
-    uint64_t join_matches = 0;  ///< kJoin only
     /// Max final virtual time over the vertex's driving clocks (consume
     /// side for operators with inputs, push side for sources).
     SimTime max_clock = 0;
@@ -108,7 +107,6 @@ class GraphRun {
   Status RunSource(int vertex, uint32_t worker, VertexStats* out);
   Status RunTransformLike(int vertex, uint32_t worker, VertexStats* out);
   Status RunAggregate(int vertex, uint32_t worker, VertexStats* out);
-  Status RunJoin(int vertex, uint32_t worker, VertexStats* out);
   Status RunSink(int vertex, uint32_t worker, VertexStats* out);
 
   StatusOr<int> CheckClaim(const std::string& edge, EdgeKind kind,

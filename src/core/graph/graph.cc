@@ -136,9 +136,6 @@ bool ValidateStructure(const GraphSpec& spec,
       case OpKind::kAggregate:
         arity(in == 1 && out <= 1, "1 in / <= 1 out");
         break;
-      case OpKind::kJoin:
-        arity(in == 2 && out == 0, "2 in / 0 out");
-        break;
       case OpKind::kSink:
         arity(in == 1 && out == 0, "1 in / 0 out");
         break;
@@ -188,8 +185,6 @@ const char* OpKindName(OpKind kind) {
       return "window";
     case OpKind::kAggregate:
       return "aggregate";
-    case OpKind::kJoin:
-      return "join";
     case OpKind::kSink:
       return "sink";
     case OpKind::kCustom:
@@ -316,7 +311,6 @@ StatusOr<Graph> Graph::Build(GraphSpec spec, const net::Fabric* fabric,
         if (schema.ok()) vi.produced = std::move(schema).value();
         break;
       }
-      case OpKind::kJoin:
       case OpKind::kSink:
         break;  // no output
     }
@@ -339,15 +333,6 @@ StatusOr<Graph> Graph::Build(GraphSpec spec, const net::Fabric* fabric,
           diags.push_back(VertexDiag(
               DiagCode::kArity, vs.name,
               "aggregate operator requires a combiner in edge"));
-        }
-        break;
-      case OpKind::kJoin:
-        for (int i : {0, 1}) {
-          if (in_kind(i) != EdgeKind::kShuffle) {
-            diags.push_back(VertexDiag(
-                DiagCode::kArity, vs.name,
-                "join operator requires shuffle in edges"));
-          }
         }
         break;
       case OpKind::kSink:

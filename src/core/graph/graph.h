@@ -32,7 +32,6 @@ enum class OpKind : uint8_t {
   kTransform,  ///< per-tuple map (transform_fn), 1 in / 1 out
   kWindow,     ///< built-in transform appending a windowed group key
   kAggregate,  ///< target side of a combiner edge; re-emits AggRows
-  kJoin,       ///< built-in streaming radix join over two shuffle edges
   kSink,       ///< consumes tuples (tuple_sink) or agg rows (agg_sink)
   kCustom,     ///< application claims the endpoints (GraphRun::Claim*)
 };
@@ -82,18 +81,6 @@ struct WindowOpSpec {
   std::string out_field = "wkey";
 };
 
-/// kJoin configuration: streaming radix build over in-edge 0, streaming
-/// probe of in-edge 1, with the same per-tuple CPU cost model as the join
-/// app (src/apps/join).
-struct JoinOpSpec {
-  size_t key_field = 0;
-  size_t payload_field = 1;
-  uint32_t local_radix_bits = 6;
-  SimTime partition_cost_ns = 5;
-  SimTime build_cost_ns = 10;
-  SimTime probe_cost_ns = 10;
-};
-
 /// One operator vertex. Exactly the members matching `kind` are read; the
 /// typed validation pass rejects missing bodies (kMissingBody) and illegal
 /// in/out degrees (kArity).
@@ -112,7 +99,6 @@ struct VertexSpec {
   TupleSinkFn tuple_sink;
   AggSinkFn agg_sink;
   WindowOpSpec window;
-  JoinOpSpec join;
 };
 
 /// One typed edge: a DFI flow carrying `type.schema`, requiring

@@ -4,6 +4,7 @@
 
 #include "apps/join/hash_table.h"
 #include "bench_util/workload.h"
+#include "common/exec/engine.h"
 
 namespace dfi::join {
 namespace {
@@ -70,19 +71,6 @@ TEST_F(DistributedJoinTest, DfiRadixJoinMatchesReference) {
   EXPECT_GT(result->phases.total, result->phases.network_partition);
   EXPECT_EQ(result->phases.histogram, 0) << "DFI join needs no histogram";
   EXPECT_EQ(result->phases.sync_barrier, 0) << "DFI join needs no barrier";
-}
-
-TEST_F(DistributedJoinTest, GraphRadixJoinMatchesReference) {
-  // The same join expressed as built-in graph operators (two kSource scans
-  // feeding a kJoin vertex) finds exactly the reference match count.
-  net::Fabric fabric;
-  const JoinConfig cfg = SmallConfig();
-  auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
-  DfiRuntime dfi(&fabric);
-  auto result = RunGraphRadixJoin(&dfi, addrs, cfg);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->matches, ReferenceJoinMatches(cfg));
-  EXPECT_GT(result->phases.total, 0);
 }
 
 TEST_F(DistributedJoinTest, MpiRadixJoinMatchesReference) {
@@ -153,6 +141,40 @@ TEST_F(DistributedJoinTest, ReplicateJoinWinsForTinyInner) {
     ASSERT_TRUE(repl.ok());
     EXPECT_EQ(radix->matches, repl->matches);
     EXPECT_LT(repl->phases.total, radix->phases.total);
+  }
+}
+
+TEST_F(DistributedJoinTest, JoinsAreDeterministicOnOneWorkerEngine) {
+  // Inside a 1-worker engine the join workers are fibers scheduled in
+  // virtual-time order, so two runs give digit-identical phase timings.
+  JoinConfig cfg = SmallConfig();
+  cfg.inner_tuples = cfg.outer_tuples / 1024;
+  using JoinFn = StatusOr<JoinResult> (*)(
+      DfiRuntime*, const std::vector<std::string>&, const JoinConfig&);
+  auto run_on_engine = [&](JoinFn fn) {
+    net::Fabric fabric;
+    auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
+    DfiRuntime dfi(&fabric);
+    StatusOr<JoinResult> r = Status::Internal("not run");
+    exec::Engine engine({.workers = 1});
+    engine.Spawn(0, "root", [&] { r = fn(&dfi, addrs, cfg); });
+    engine.Run();
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? *r : JoinResult{};
+  };
+  for (JoinFn fn : {&RunDfiRadixJoin, &RunDfiReplicateJoin}) {
+    const JoinResult a = run_on_engine(fn);
+    const JoinResult b = run_on_engine(fn);
+    EXPECT_EQ(a.matches, ReferenceJoinMatches(cfg));
+    EXPECT_EQ(a.matches, b.matches);
+    EXPECT_EQ(a.phases.histogram, b.phases.histogram);
+    EXPECT_EQ(a.phases.network_partition, b.phases.network_partition);
+    EXPECT_EQ(a.phases.network_replication, b.phases.network_replication);
+    EXPECT_EQ(a.phases.sync_barrier, b.phases.sync_barrier);
+    EXPECT_EQ(a.phases.local_partition, b.phases.local_partition);
+    EXPECT_EQ(a.phases.build_probe, b.phases.build_probe);
+    EXPECT_EQ(a.phases.total, b.phases.total);
+    EXPECT_GT(a.phases.total, 0);
   }
 }
 
