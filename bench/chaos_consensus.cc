@@ -1,6 +1,7 @@
 // Chaos experiment: Multi-Paxos leader failover under a scripted
-// fail-stop crash (robustness PR — not a paper figure). A FaultPlan kills
-// the term-1 leader's node mid-run; every survivor unwinds through the
+// fail-stop crash (robustness PR — not a paper figure). The fabric's
+// FaultPlan kills the term-1 leader's node mid-run and RunMultiPaxos turns
+// into a failover run; every survivor unwinds through the
 // bounded-blocking machinery (poisoned channels, kPeerFailed fault-plan
 // probes, block deadlines) and fails over to a pre-published term-2 flow
 // set. Reported: requests completed across both terms, how many in-flight
@@ -16,8 +17,8 @@
 namespace dfi::bench {
 namespace {
 
-using consensus::ChaosConfig;
-using consensus::ChaosResult;
+using consensus::ConsensusConfig;
+using consensus::ConsensusResult;
 
 void Run() {
   PrintSection(
@@ -26,31 +27,30 @@ void Run() {
   TablePrinter table({"crash at", "requests/s", "completed", "resubmitted",
                       "recovery (first)", "recovery (all)"});
   for (SimTime crash_at : {500'000, 2'000'000, 8'000'000}) {
-    ChaosConfig chaos;
-    chaos.base.requests_per_client = 1500;
-    chaos.base.seed = BenchSeed();
-    chaos.crash_at_ns = crash_at;
+    ConsensusConfig cfg;
+    cfg.requests_per_client = 1500;
+    cfg.client_window = 1;
+    cfg.seed = BenchSeed();
     net::Fabric fabric;
-    auto addrs = MakeCluster(
-        &fabric, chaos.base.num_replicas + chaos.base.num_client_nodes);
+    auto addrs = MakeCluster(&fabric, cfg.num_replicas + cfg.num_client_nodes);
+    // Fail-stop the term-1 leader's node (replica 0) at `crash_at`.
+    fabric.fault_plan().CrashNode(*fabric.ResolveAddress(addrs[0]), crash_at);
     DfiRuntime dfi(&fabric);
-    StatusOr<ChaosResult> r = Status::Internal("not run");
+    StatusOr<ConsensusResult> r = Status::Internal("not run");
     exec::Engine engine({.workers = 1});
-    engine.Spawn(0, "chaos-root", [&] {
-      r = consensus::RunMultiPaxosChaos(&dfi, addrs, chaos);
-    });
+    engine.Spawn(0, "chaos-root",
+                 [&] { r = consensus::RunMultiPaxos(&dfi, addrs, cfg); });
     engine.Run();
     DFI_CHECK(r.ok()) << r.status();
-    DFI_CHECK_EQ(r->completed,
-                 static_cast<uint64_t>(chaos.base.num_clients) *
-                     chaos.base.requests_per_client);
+    DFI_CHECK_EQ(r->completed, static_cast<uint64_t>(cfg.num_clients) *
+                                   cfg.requests_per_client);
     table.AddRow({Micros(crash_at), Num(r->throughput_rps),
                   Num(static_cast<double>(r->completed)),
                   Num(static_cast<double>(r->resubmitted)),
                   Micros(r->recovery_first_reply_ns),
                   Micros(r->recovery_all_clients_ns)});
     std::printf("fault trace (crash at %s): %s\n", Micros(crash_at).c_str(),
-                r->fault_trace.c_str());
+                fabric.fault_plan().TraceString().c_str());
   }
   table.Print();
   std::printf(

@@ -40,6 +40,8 @@ if [ "$KIND" = "thread" ]; then
   "$BUILD/tests/exec_engine_test" --gtest_repeat=10 --gtest_shuffle
   "$BUILD/tests/engine_determinism_test" --gtest_repeat=3
 fi
+# Multi-Paxos leader failover: RunMultiPaxos with a leader crash scripted
+# on the fault plan (abort/poison teardown across two flow sets).
 "$BUILD/bench/chaos_consensus" --seed "${DFI_CHAOS_SEED:-7}"
 # The graph layer: one batched publish per graph, whole-graph poison on
 # operator failure, and per-edge handle teardown — run the graph suite and

@@ -49,12 +49,27 @@ struct ConsensusResult {
   double throughput_rps = 0;
   SimTime median_latency_ns = 0;
   SimTime p95_latency_ns = 0;
+  /// Multi-Paxos failover only (0 otherwise): requests the clients replayed
+  /// on the term-2 flows, and the virtual time from the leader crash to the
+  /// first client's / every client's first term-2 reply.
+  uint64_t resubmitted = 0;
+  SimTime recovery_first_reply_ns = 0;
+  SimTime recovery_all_clients_ns = 0;
 };
 
-/// Classical leader-based Multi-Paxos (normal, failure-free operation)
-/// modeled exactly on the paper's Figure 3: an N:1 shuffle flow for client
-/// submissions, a replicate flow (multicast) for proposals, an N:1 shuffle
-/// flow for votes and a 1:N shuffle flow for replies.
+/// Classical leader-based Multi-Paxos modeled exactly on the paper's
+/// Figure 3: an N:1 shuffle flow for client submissions, a replicate flow
+/// (multicast) for proposals, an N:1 shuffle flow for votes and a 1:N
+/// shuffle flow for replies.
+///
+/// The failure-free run is the empty FaultPlan: it publishes exactly those
+/// four flows. A leader crash is scripted on the fabric's plan before the
+/// call (`dfi->fabric().fault_plan().CrashNode(<node of nodes[0]>, at)`).
+/// Then the run also publishes a term-2 flow set led by replica 1, every
+/// flow gets a 50 ms virtual block deadline, survivors observe the crash
+/// through kPeerFailed / poisoned teardown (never a hang) and fail over,
+/// and each client resubmits its unacknowledged requests on term 2. The
+/// fault trace stays on the plan (FaultPlan::TraceString).
 ///
 /// `nodes` must hold num_replicas + num_client_nodes fabric addresses
 /// (replicas first).
@@ -79,45 +94,6 @@ StatusOr<ConsensusResult> RunNoPaxos(DfiRuntime* dfi,
 StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
                                   const std::vector<std::string>& nodes,
                                   const ConsensusConfig& config);
-
-/// Configuration of the chaos failover experiment: Multi-Paxos under a
-/// scripted fail-stop leader crash (robustness PR). `base.client_window`
-/// is forced to 1 — clients track at most one in-flight request, so
-/// failover resubmission needs no request log.
-struct ChaosConfig {
-  ConsensusConfig base;
-  /// Virtual time at which replica 0 (the term-1 leader) fail-stops.
-  SimTime crash_at_ns = 2'000'000;  // 2 ms
-  /// Bounded-blocking deadline installed on every flow (virtual time);
-  /// survivors must observe the failure well before this backstop.
-  SimTime block_deadline_ns = 50'000'000;  // 50 ms
-};
-
-/// Outcome of one chaos failover run.
-struct ChaosResult {
-  uint64_t completed = 0;    ///< requests finished across both terms
-  uint64_t resubmitted = 0;  ///< requests replayed on the term-2 flows
-  SimTime crash_at_ns = 0;
-  /// Virtual time from the crash to the *first* client reply out of the
-  /// term-2 (failover) flows — the headline recovery latency.
-  SimTime recovery_first_reply_ns = 0;
-  /// Virtual time from the crash until *every* client received its first
-  /// term-2 reply (all clients recovered).
-  SimTime recovery_all_clients_ns = 0;
-  double throughput_rps = 0;
-  /// The fault plan's canonical event trace (determinism witness).
-  std::string fault_trace;
-};
-
-/// Multi-Paxos leader failover under a FaultPlan crash: term 1 runs the
-/// Figure-3 flow set with replica 0 as leader until the plan fail-stops it;
-/// survivors observe kPeerFailed / poisoned teardown (never a hang), then
-/// fail over to a pre-published term-2 flow set led by replica 1, where
-/// clients resubmit their in-flight requests. Demonstrates the PR's
-/// deadline + abort machinery end to end.
-StatusOr<ChaosResult> RunMultiPaxosChaos(
-    DfiRuntime* dfi, const std::vector<std::string>& nodes,
-    const ChaosConfig& config);
 
 }  // namespace dfi::consensus
 

@@ -140,8 +140,9 @@ struct ClientOutcome {
 
 /// The shared closed-loop client driver: submits requests with a window and
 /// think time, records per-request virtual latencies from matching replies.
-/// Used by Multi-Paxos and DARE (NOPaxos clients additionally collect
-/// follower acks and have their own driver).
+/// Used by DARE (the Multi-Paxos client also fails over to a second term;
+/// NOPaxos clients additionally collect follower acks — both have their
+/// own driver).
 inline ClientOutcome RunLeaderClient(ShuffleSource* submit,
                                      ShuffleTarget* replies,
                                      const ConsensusConfig& cfg,

@@ -191,7 +191,7 @@ std::string Schema::ToString() const {
     out += ":";
     out += DataTypeName(fields_[i].type);
     if (fields_[i].type == DataType::kChar) {
-      out += "(" + std::to_string(fields_[i].length) + ")";
+      out.append("(").append(std::to_string(fields_[i].length)).append(")");
     }
   }
   out += "}";

@@ -456,10 +456,16 @@ std::vector<RegistryEvent> RegistryService::Events() const {
 std::string RegistryService::TraceString() const {
   std::string out;
   for (const RegistryEvent& e : Events()) {
-    out += "@" + std::to_string(e.at) + "ns s" + std::to_string(e.shard) +
-           " e" + std::to_string(e.epoch) + " " + OpKindChar(e.kind) + " " +
-           e.name + " c" + std::to_string(e.client_id) + "#" +
-           std::to_string(e.seq) + " " + StatusCodeToString(e.code) + "\n";
+    // Appends in place: chained operator+ temporaries trip GCC 12's
+    // -Werror=restrict in Release builds.
+    out.append("@").append(std::to_string(e.at));
+    out.append("ns s").append(std::to_string(e.shard));
+    out.append(" e").append(std::to_string(e.epoch));
+    out.append(" ").append(1, OpKindChar(e.kind));
+    out.append(" ").append(e.name);
+    out.append(" c").append(std::to_string(e.client_id));
+    out.append("#").append(std::to_string(e.seq));
+    out.append(" ").append(StatusCodeToString(e.code)).append("\n");
   }
   return out;
 }

@@ -61,6 +61,60 @@ TEST_F(ConsensusTest, MultiPaxosCompletesAllRequests) {
   EXPECT_GE(result->p95_latency_ns, result->median_latency_ns);
 }
 
+TEST_F(ConsensusTest, MultiPaxosSurvivesLeaderCrashWithWindow) {
+  // A leader crash scripted on the fault plan mid-run: every client fails
+  // over with up to 8 requests in flight and resubmits the unacknowledged
+  // ones, so every request still completes.
+  net::Fabric fabric;
+  ConsensusConfig cfg = SmallConfig();
+  cfg.client_window = 8;
+  auto addrs = SetUpNodes(&fabric, cfg);
+  fabric.fault_plan().CrashNode(*fabric.ResolveAddress(addrs[0]), 100'000);
+  DfiRuntime dfi(&fabric);
+  auto result = RunMultiPaxos(&dfi, addrs, cfg);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->completed,
+            uint64_t{cfg.num_clients} * cfg.requests_per_client);
+  EXPECT_GT(result->resubmitted, 0u);
+  EXPECT_LE(result->resubmitted,
+            uint64_t{cfg.num_clients} * cfg.client_window);
+  EXPECT_GT(result->recovery_first_reply_ns, 0);
+  EXPECT_GE(result->recovery_all_clients_ns,
+            result->recovery_first_reply_ns);
+}
+
+TEST_F(ConsensusTest, FailureFreeMultiPaxosPublishesNoTerm2Flows) {
+  // Occupy the term-2 flow names: a run that publishes its failover flow
+  // set collides with them, a failure-free run must not.
+  auto run = [&](bool crash) {
+    net::Fabric fabric;
+    const ConsensusConfig cfg = SmallConfig();
+    auto addrs = SetUpNodes(&fabric, cfg);
+    if (crash) {
+      fabric.fault_plan().CrashNode(*fabric.ResolveAddress(addrs[0]),
+                                    100'000);
+    }
+    DfiRuntime dfi(&fabric);
+    for (const char* name :
+         {"mp.t2.submit", "mp.t2.propose", "mp.t2.vote", "mp.t2.reply"}) {
+      ShuffleFlowSpec spec;
+      spec.name = name;
+      spec.sources.Append(Endpoint{addrs[0], 0});
+      spec.targets.Append(Endpoint{addrs[1], 0});
+      spec.schema = Vote::MakeSchema();
+      EXPECT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
+    }
+    auto result = RunMultiPaxos(&dfi, addrs, cfg);
+    if (result.ok()) {
+      EXPECT_EQ(result->resubmitted, 0u);
+      EXPECT_EQ(result->recovery_first_reply_ns, 0);
+    }
+    return result.status().code();
+  };
+  EXPECT_EQ(run(/*crash=*/false), StatusCode::kOk);
+  EXPECT_EQ(run(/*crash=*/true), StatusCode::kAlreadyExists);
+}
+
 TEST_F(ConsensusTest, NoPaxosCompletesAllRequests) {
   net::Fabric fabric;
   const ConsensusConfig cfg = SmallConfig();

@@ -263,12 +263,16 @@ TEST(EngineDeterminismTest, AdaptiveShuffleSeedChangesTrace) {
   EXPECT_FALSE(AdaptiveShuffleWorkload(1) == AdaptiveShuffleWorkload(2));
 }
 
-/// Chaos consensus: scripted leader crash + failover. The run's witnesses —
-/// completion count, resubmission count and the fault plan's canonical
-/// event trace — must be bit-identical at every pool size.
+/// Chaos consensus: a leader crash scripted on the fault plan mid-run, then
+/// failover. The content witnesses — completion count and the fault plan's
+/// canonical event trace — must be identical at every pool size; the
+/// timing witnesses (resubmissions, recovery times) between pool-1 runs.
 struct ChaosTrace {
   uint64_t completed = 0;
   std::string fault_trace;
+  uint64_t resubmitted = 0;
+  SimTime recovery_first_reply_ns = 0;
+  SimTime recovery_all_clients_ns = 0;
 
   bool operator==(const ChaosTrace& o) const {
     return completed == o.completed && fault_trace == o.fault_trace;
@@ -276,34 +280,54 @@ struct ChaosTrace {
 };
 
 ChaosTrace ChaosWorkload() {
-  consensus::ChaosConfig chaos;
-  chaos.base.requests_per_client = 60;
-  chaos.base.seed = 7;
+  consensus::ConsensusConfig cfg;
+  cfg.requests_per_client = 60;
+  cfg.client_window = 1;
+  cfg.seed = 7;
   net::Fabric fabric;
   std::vector<std::string> addrs;
-  for (net::NodeId id : fabric.AddNodes(chaos.base.num_replicas +
-                                        chaos.base.num_client_nodes)) {
+  for (net::NodeId id :
+       fabric.AddNodes(cfg.num_replicas + cfg.num_client_nodes)) {
     addrs.push_back(fabric.node(id).address());
   }
+  fabric.fault_plan().CrashNode(*fabric.ResolveAddress(addrs[0]), 200'000);
   DfiRuntime dfi(&fabric);
-  auto r = consensus::RunMultiPaxosChaos(&dfi, addrs, chaos);
+  auto r = consensus::RunMultiPaxos(&dfi, addrs, cfg);
   DFI_CHECK(r.ok()) << r.status();
   ChaosTrace trace;
   trace.completed = r->completed;
-  trace.fault_trace = r->fault_trace;
+  trace.fault_trace = fabric.fault_plan().TraceString();
+  trace.resubmitted = r->resubmitted;
+  trace.recovery_first_reply_ns = r->recovery_first_reply_ns;
+  trace.recovery_all_clients_ns = r->recovery_all_clients_ns;
+  return trace;
+}
+
+ChaosTrace ChaosOnEngine(uint32_t workers) {
+  ChaosTrace trace;
+  exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
+  engine.Spawn(0, "root", [&] { trace = ChaosWorkload(); });
+  engine.Run();
   return trace;
 }
 
 TEST(EngineDeterminismTest, ChaosConsensusIdenticalAcrossPoolSizes) {
   const ChaosTrace threads = ChaosWorkload();  // plain-thread reference
+  EXPECT_EQ(threads.completed, uint64_t{6} * 60);
   for (uint32_t workers : {1u, 2u, 4u}) {
-    ChaosTrace trace;
-    exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
-    engine.Spawn(0, "root", [&] { trace = ChaosWorkload(); });
-    engine.Run();
-    EXPECT_TRUE(trace == threads)
+    EXPECT_TRUE(ChaosOnEngine(workers) == threads)
         << "chaos trace diverged at pool size " << workers;
   }
+}
+
+TEST(EngineDeterminismTest, ChaosConsensusTimingIdenticalAtPoolOne) {
+  const ChaosTrace a = ChaosOnEngine(1);
+  const ChaosTrace b = ChaosOnEngine(1);
+  EXPECT_GT(a.resubmitted, 0u) << "the crash must land mid-run";
+  EXPECT_GT(a.recovery_first_reply_ns, 0);
+  EXPECT_EQ(a.resubmitted, b.resubmitted);
+  EXPECT_EQ(a.recovery_first_reply_ns, b.recovery_first_reply_ns);
+  EXPECT_EQ(a.recovery_all_clients_ns, b.recovery_all_clients_ns);
 }
 
 // ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ TEST(EngineTest, SingleWorkerRunsInVirtualTimeOrder) {
   // Spawned in reverse virtual-time order; Yield re-enqueues at the given
   // virtual time, so the scheduler must sort them.
   for (int i = 4; i >= 0; --i) {
-    engine.Spawn(static_cast<uint32_t>(i), "t" + std::to_string(i), [&, i] {
+    engine.Spawn(static_cast<uint32_t>(i),
+                 std::string("t").append(std::to_string(i)), [&, i] {
       Engine::Yield(static_cast<SimTime>(i) * 1000);
       order.push_back(i);
     });

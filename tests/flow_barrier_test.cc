@@ -55,7 +55,7 @@ TEST(FlowBarrierTest, EngineModeJoinsClocksAtLatestArrival) {
   }
   exec::Engine engine({.workers = 2});
   for (uint32_t p = 0; p < kN; ++p) {
-    engine.Spawn(p, "p" + std::to_string(p), [&, p] {
+    engine.Spawn(p, std::string("p").append(std::to_string(p)), [&, p] {
       clocks[p]->AdvanceTo(arrivals[p]);
       ASSERT_TRUE(barriers[p]->Wait().ok());
       // Every participant leaves at the latest arrival's virtual time.

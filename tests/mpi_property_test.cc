@@ -19,8 +19,12 @@ struct P2pParam {
 };
 
 std::string ParamName(const ::testing::TestParamInfo<P2pParam>& info) {
-  return "b" + std::to_string(info.param.message_bytes) + "_n" +
-         std::to_string(info.param.messages);
+  // Appends in place: chained operator+ temporaries trip GCC 12's
+  // -Werror=restrict in Release builds.
+  std::string name = "b";
+  name.append(std::to_string(info.param.message_bytes));
+  name.append("_n").append(std::to_string(info.param.messages));
+  return name;
 }
 
 class MpiP2pProperty : public ::testing::TestWithParam<P2pParam> {};
