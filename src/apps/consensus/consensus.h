@@ -63,13 +63,14 @@ struct ConsensusResult {
 /// shuffle flow for replies.
 ///
 /// The failure-free run is the empty FaultPlan: it publishes exactly those
-/// four flows. A leader crash is scripted on the fabric's plan before the
-/// call (`dfi->fabric().fault_plan().CrashNode(<node of nodes[0]>, at)`).
-/// Then the run also publishes a term-2 flow set led by replica 1, every
-/// flow gets a 50 ms virtual block deadline, survivors observe the crash
-/// through kPeerFailed / poisoned teardown (never a hang) and fail over,
-/// and each client resubmits its unacknowledged requests on term 2. The
-/// fault trace stays on the plan (FaultPlan::TraceString).
+/// four flows (mp.submit, mp.propose, mp.vote, mp.reply). A leader crash is
+/// scripted on the fabric's plan before the call
+/// (`dfi->fabric().fault_plan().CrashNode(<node of nodes[0]>, at)`). Then
+/// the run also publishes a term-2 flow set (mp.t2.*) led by replica 1,
+/// every flow gets a 50 ms virtual block deadline, survivors observe the
+/// crash through kPeerFailed / poisoned teardown (never a hang) and fail
+/// over, and each client resubmits its unacknowledged requests on term 2.
+/// The fault trace stays on the plan (FaultPlan::TraceString).
 ///
 /// `nodes` must hold num_replicas + num_client_nodes fabric addresses
 /// (replicas first).
