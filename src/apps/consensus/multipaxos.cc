@@ -227,7 +227,12 @@ bool RunLeaderTerm(LeaderEndpoints& ep, const ConsensusConfig& cfg,
       progressed = true;
     }
     if (!progressed) {
-      if (submits.ended() && replied == next_index) break;
+      // An errored submit flow also reads as ended (a client that already
+      // failed over aborted its term-1 source); the check at the top of the
+      // next round fails the term instead.
+      if (submits.ended() && !submits.errored() && replied == next_index) {
+        break;
+      }
       exec::IdleWait(epoch);
     }
   }
