@@ -252,8 +252,8 @@ bool RunFollowerTerm(ReplicateTarget* proposals, ShuffleSource* votes,
   for (;;) {
     const ConsumeResult res = proposals->Consume(&tuple);
     if (res == ConsumeResult::kFlowEnd) break;
-    Proposal proposal;
     if (res == ConsumeResult::kOk) {
+      Proposal proposal;
       std::memcpy(&proposal, tuple.data(), sizeof(proposal));
       SyncClocks(proposals->clock(), votes->clock());
       proposals->clock().Advance(cfg.replica_logic_cost_ns +
