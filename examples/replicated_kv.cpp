@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "apps/consensus/consensus.h"
+#include "common/exec/engine.h"
 #include "common/units.h"
 #include "core/dfi.h"
 
@@ -23,7 +24,12 @@ void RunOne(const char* name, Fn run, const consensus::ConsensusConfig& cfg) {
     addrs.push_back(fabric.node(id).address());
   }
   DfiRuntime dfi(&fabric);
-  auto result = run(&dfi, addrs, cfg);
+  // The consensus actors are fibers: run the app as the root task of a
+  // 1-worker engine.
+  StatusOr<consensus::ConsensusResult> result = Status::Internal("not run");
+  exec::Engine engine({.workers = 1});
+  engine.Spawn(0, "replicated-kv", [&] { result = run(&dfi, addrs, cfg); });
+  engine.Run();
   DFI_CHECK(result.ok()) << result.status();
   std::printf("%-12s %8llu requests  %10.0f req/s  median %-9s p95 %s\n",
               name, static_cast<unsigned long long>(result->completed),

@@ -24,11 +24,10 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 # ring/teardown lifetime hazards the sanitizers exist for — rerun its suite
 # standalone with shuffling and repetition to shake out latent races.
 "$BUILD/tests/core_endpoint_test" --gtest_repeat=5 --gtest_shuffle
-# The replicated control plane: failover promotion, the exactly-once dedup
-# window, and parked barrier/retrieve waiters are lifetime- and race-prone
-# by construction — rerun both suites shuffled.
+# The replicated control plane: failover promotion and the exactly-once
+# dedup window are lifetime- and race-prone by construction — rerun the
+# suite shuffled.
 "$BUILD/tests/registry_service_test" --gtest_repeat=3 --gtest_shuffle
-"$BUILD/tests/flow_barrier_test" --gtest_repeat=3 --gtest_shuffle
 # Adaptive shuffle: sink-side work stealing shares columns between target
 # threads and hot-key migration rewires routing mid-flow — both are prime
 # race/lifetime territory, so shake the property suite too.

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <limits>
@@ -563,25 +564,10 @@ void BumpProgress() {
 
 void IdleWait(uint64_t seen_epoch) {
   Engine* e = Engine::Current();
-  if (e == nullptr) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    return;
-  }
+  DFI_CHECK(e != nullptr) << "IdleWait outside an engine task";
   Engine::Park(&e->impl_->idle_point_,
                [seen_epoch] { return ProgressEpoch() != seen_epoch; },
                /*now=*/-1, Engine::kNoTimer);
-}
-
-WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now, SimTime wake_at) {
-  Engine* e = Engine::Current();
-  if (e == nullptr) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    return ProgressEpoch() != seen_epoch ? WakeCause::kNotified
-                                         : WakeCause::kTimer;
-  }
-  return Engine::Park(&e->impl_->idle_point_,
-                      [seen_epoch] { return ProgressEpoch() != seen_epoch; },
-                      now, wake_at);
 }
 
 // ---- ActorGroup ----------------------------------------------------------

@@ -2,7 +2,6 @@
 #define DFI_COMMON_EXEC_ENGINE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -126,8 +125,6 @@ class Engine {
   friend struct Task;
   friend void BumpProgress();
   friend void IdleWait(uint64_t seen_epoch);
-  friend WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now,
-                                 SimTime wake_at);
   struct Impl;
 
   static WakeCause ParkImpl(WaitPoint* wp, bool (*changed)(void*), void* arg,
@@ -144,17 +141,8 @@ void BumpProgress();
 
 /// Poll-loop backoff. Capture `seen = ProgressEpoch()` *before* the poll
 /// round; when the round made no progress, IdleWait(seen) parks the calling
-/// task until the epoch moves (engine mode) or sleeps a 50us slice (thread
-/// mode, preserving the historical polling cadence).
+/// task until the epoch moves. The caller must be an engine task.
 void IdleWait(uint64_t seen_epoch);
-
-/// Timed IdleWait: parks until the progress epoch moves past `seen_epoch`
-/// or the engine's virtual floor reaches `wake_at` (kNotified vs kTimer).
-/// `now` reports the caller's virtual time as in Engine::Park. Thread mode
-/// sleeps one 50us slice and reports kNotified iff the epoch moved. Used by
-/// bounded poll loops (registry blocking retrieves) whose give-up point is
-/// a virtual-time deadline rather than "forever".
-WakeCause IdleWaitUntil(uint64_t seen_epoch, SimTime now, SimTime wake_at);
 
 /// Drop-in replacement for the `std::vector<std::thread>` actor-spawning
 /// idiom: spawns engine tasks when called from inside a running engine task

@@ -8,7 +8,7 @@
 #include "common/status.h"
 #include "core/shuffle_flow.h"
 #include "net/fabric.h"
-#include "registry/flow_registry.h"
+#include "registry/flow_state.h"
 #include "registry/registry_client.h"
 #include "registry/registry_service.h"
 #include "rdma/rdma_env.h"

@@ -13,12 +13,13 @@ namespace dfi::rdma {
 /// once the payload is fully written.
 ///
 /// In the emulation this is realized with a release/acquire protocol on the
-/// final byte of every DMA: the payload is copied with plain stores, then a
-/// release fence is issued, then the last byte is stored atomically. A
-/// reader that polls memory for a state change must read the flag byte with
-/// LoadDmaFlag() (atomic load + acquire fence) before touching the payload;
-/// this pairs with the writer's fence and establishes the same guarantee
-/// the NIC gives on real hardware.
+/// final byte of every DMA: the payload is copied with plain stores, then
+/// the last byte is stored with release ordering. A reader that polls
+/// memory for a state change must read the flag byte with LoadDmaFlag()
+/// (acquire load of the same byte) before touching the payload; this pairs
+/// with the writer's release store and establishes the same guarantee the
+/// NIC gives on real hardware. Both sides order through the flag byte
+/// itself rather than standalone fences, which ThreadSanitizer can model.
 inline void DmaCopy(void* dst, const void* src, size_t len) {
   if (len == 0) return;
   auto* d = static_cast<uint8_t*>(dst);
@@ -26,25 +27,21 @@ inline void DmaCopy(void* dst, const void* src, size_t len) {
   if (len > 1) {
     std::memcpy(d, s, len - 1);
   }
-  std::atomic_thread_fence(std::memory_order_release);
   std::atomic_ref<uint8_t>(d[len - 1]).store(s[len - 1],
-                                             std::memory_order_relaxed);
+                                             std::memory_order_release);
 }
 
 /// Publishes a single flag byte after all prior plain stores (used by
 /// targets to flip a local footer back to writable).
 inline void StoreDmaFlag(uint8_t* addr, uint8_t value) {
-  std::atomic_thread_fence(std::memory_order_release);
-  std::atomic_ref<uint8_t>(*addr).store(value, std::memory_order_relaxed);
+  std::atomic_ref<uint8_t>(*addr).store(value, std::memory_order_release);
 }
 
 /// Reads a flag byte published by DmaCopy/StoreDmaFlag. All memory written
 /// before the flag is visible after this returns.
 inline uint8_t LoadDmaFlag(const uint8_t* addr) {
-  const uint8_t v = std::atomic_ref<const uint8_t>(*addr).load(
-      std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  return v;
+  return std::atomic_ref<const uint8_t>(*addr).load(
+      std::memory_order_acquire);
 }
 
 }  // namespace dfi::rdma

@@ -7,12 +7,6 @@
 
 namespace dfi::reg {
 
-namespace {
-SimTime NsFromMs(std::chrono::milliseconds ms) {
-  return static_cast<SimTime>(ms.count()) * 1'000'000;
-}
-}  // namespace
-
 RegistryClient::RegistryClient(RegistryService* service,
                                RegistryClientOptions options,
                                VirtualClock* clock)
@@ -37,9 +31,9 @@ void RegistryClient::SleepUntilVt(SimTime from, SimTime until) {
 }
 
 void RegistryClient::ObserveEpoch(ShardId shard, Epoch epoch) {
-  if (!options_.enable_cache) return;  // epochs only fence the cache
   std::lock_guard<std::mutex> lock(mu_);
   if (epoch <= shard_epochs_[shard]) return;
+  stats_.failovers += epoch - shard_epochs_[shard];
   shard_epochs_[shard] = epoch;
   for (auto it = cache_.begin(); it != cache_.end();) {
     if (it->second.shard == shard && it->second.epoch < epoch) {
@@ -54,9 +48,9 @@ void RegistryClient::ObserveEpoch(ShardId shard, Epoch epoch) {
 Status RegistryClient::CacheLookup(const std::string& name,
                                    std::shared_ptr<FlowStateBase>* state) {
   if (!options_.enable_cache) return Status::NotFound("cache disabled");
-  const SimTime now = NowVt();
   const ShardId shard = service_->ShardOf(name);
-  const ShardView view = service_->ViewAt(shard, now);
+  const ShardView view = service_->ViewAt(shard, NowVt());
+  ObserveEpoch(shard, view.epoch);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(name);
   if (it == cache_.end()) {
@@ -64,8 +58,7 @@ Status RegistryClient::CacheLookup(const std::string& name,
     return Status::NotFound("not cached");
   }
   const CacheEntry& e = it->second;
-  if (e.epoch != view.epoch ||
-      (e.lease_expiry != 0 && now >= e.lease_expiry)) {
+  if (e.epoch != view.epoch) {
     cache_.erase(it);
     ++stats_.cache_invalidations;
     ++stats_.cache_misses;
@@ -84,7 +77,6 @@ void RegistryClient::CacheInsert(const std::string& name, ShardId shard,
   e.state = r.state;
   e.shard = shard;
   e.epoch = shard_epochs_[shard];
-  e.lease_expiry = r.lease_expiry;
   cache_[name] = std::move(e);
 }
 
@@ -92,11 +84,6 @@ void RegistryClient::CacheErase(const std::string& name) {
   if (!options_.enable_cache) return;
   std::lock_guard<std::mutex> lock(mu_);
   cache_.erase(name);
-}
-
-void RegistryClient::InvalidateCache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
 }
 
 RegistryClientStats RegistryClient::stats() const {
@@ -123,9 +110,10 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
   conn.next_seq = req.base_seq + req.ops.size();
 
   SimTime now = NowVt();
-  const SimTime deadline = now + options_.retry_deadline_ns;
-  SimTime backoff = options_.backoff_initial_ns;
+  const SimTime deadline = now + kRetryDeadlineNs;
+  SimTime backoff = kBackoffInitialNs;
   ShardView view = service_->ViewAt(shard, now);
+  ObserveEpoch(shard, view.epoch);
   req.target_replica = view.primary;
 
   while (true) {
@@ -149,13 +137,10 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
       // A live non-primary answered with a redirect: refresh the view and
       // retry at the primary immediately (the redirect already cost a
       // round trip; no backoff).
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.failovers;
-      }
       ObserveEpoch(shard, res.epoch);
       now = std::max(now, res.complete_at);
       view = service_->ViewAt(shard, now);
+      ObserveEpoch(shard, view.epoch);
       req.target_replica = view.primary;
       continue;
     }
@@ -174,17 +159,18 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
     }
     const SimTime observed = std::max(now, res.complete_at);
     const SimTime wake = observed + backoff;
-    backoff = std::min(backoff * 2, options_.backoff_cap_ns);
+    backoff = std::min(backoff * 2, kBackoffCapNs);
     if (wake > deadline) {
       SleepUntilVt(now, observed);
       return Status::DeadlineExceeded(
           "registry batch to shard " + std::to_string(shard) +
           " exceeded its retry deadline (" +
-          std::to_string(options_.retry_deadline_ns) + "ns)");
+          std::to_string(kRetryDeadlineNs) + "ns)");
     }
     SleepUntilVt(now, wake);
     now = wake;
     view = service_->ViewAt(shard, now);
+    ObserveEpoch(shard, view.epoch);
     req.target_replica = view.primary;
   }
 }
@@ -219,17 +205,10 @@ StatusOr<std::vector<OpResult>> RegistryClient::ExecuteOps(
 
 Status RegistryClient::Publish(const std::string& name,
                                std::shared_ptr<FlowStateBase> state) {
-  return PublishWithLease(name, std::move(state), 0);
-}
-
-Status RegistryClient::PublishWithLease(const std::string& name,
-                                        std::shared_ptr<FlowStateBase> state,
-                                        SimTime lease_expiry) {
   Op op;
   op.kind = OpKind::kPublish;
   op.name = name;
   op.state = std::move(state);
-  op.lease_expiry = lease_expiry;
   std::vector<Op> ops;
   ops.push_back(std::move(op));
   std::vector<OpResult> results;
@@ -256,53 +235,6 @@ StatusOr<std::shared_ptr<FlowStateBase>> RegistryClient::Retrieve(
   return r.state;
 }
 
-StatusOr<std::shared_ptr<FlowStateBase>> RegistryClient::RetrieveBlocking(
-    const std::string& name, std::chrono::milliseconds timeout) {
-  const bool in_task = exec::Engine::InTask();
-  const SimTime deadline_vt = NowVt() + NsFromMs(timeout);
-  const auto deadline_rt = std::chrono::steady_clock::now() + timeout;
-  // Engine-mode poll cadence: park in exponentially growing slices and
-  // advance the clock through each one, so a failover at a later virtual
-  // time than our last RPC becomes visible (the shard view is evaluated at
-  // our own clock). See FlowBarrier::Wait for the full rationale.
-  constexpr SimTime kPollInitialNs = 10'000;
-  constexpr SimTime kPollCapNs = 1'000'000;
-  SimTime poll_interval = kPollInitialNs;
-  while (true) {
-    // Capture the progress epoch *before* polling so a publish landing
-    // between the poll and the park wakes us (lost-wakeup protocol).
-    const uint64_t seen = exec::ProgressEpoch();
-    auto r = Retrieve(name);
-    if (r.ok()) return r;
-    if (r.status().code() != StatusCode::kNotFound) return r.status();
-    if (in_task) {
-      const SimTime now = NowVt();
-      const SimTime wake =
-          clock_ ? std::min(deadline_vt, now + poll_interval) : deadline_vt;
-      if (exec::IdleWaitUntil(seen, now, wake) == exec::WakeCause::kTimer) {
-        if (wake >= deadline_vt) {
-          if (clock_) clock_->AdvanceTo(deadline_vt);
-          return Status::DeadlineExceeded(
-              "flow '" + name + "' not published within " +
-              std::to_string(timeout.count()) + "ms (virtual)");
-        }
-        clock_->AdvanceTo(wake);
-        poll_interval = std::min(poll_interval * 2, kPollCapNs);
-      } else {
-        poll_interval = kPollInitialNs;
-      }
-    } else {
-      if (std::chrono::steady_clock::now() >= deadline_rt) {
-        return Status::DeadlineExceeded("flow '" + name +
-                                        "' not published within " +
-                                        std::to_string(timeout.count()) +
-                                        "ms");
-      }
-      exec::IdleWaitUntil(seen, /*now=*/-1, /*wake_at=*/0);  // 50us slice
-    }
-  }
-}
-
 Status RegistryClient::Close(const std::string& name) {
   CacheErase(name);
   Op op;
@@ -316,39 +248,9 @@ Status RegistryClient::Close(const std::string& name) {
   return results[0].status;
 }
 
-Status RegistryClient::MarkFailed(const std::string& name,
-                                  const Status& cause) {
-  CacheErase(name);
-  Op op;
-  op.kind = OpKind::kMarkFailed;
-  op.name = name;
-  op.fail_cause = cause;
-  std::vector<Op> ops;
-  ops.push_back(std::move(op));
-  std::vector<OpResult> results;
-  DFI_RETURN_IF_ERROR(
-      ExecuteShardBatch(service_->ShardOf(name), std::move(ops), &results));
-  return results[0].status;
-}
-
-Status RegistryClient::RenewLease(const std::string& name,
-                                  SimTime new_expiry) {
-  Op op;
-  op.kind = OpKind::kRenewLease;
-  op.name = name;
-  op.lease_expiry = new_expiry;
-  std::vector<Op> ops;
-  ops.push_back(std::move(op));
-  std::vector<OpResult> results;
-  DFI_RETURN_IF_ERROR(
-      ExecuteShardBatch(service_->ShardOf(name), std::move(ops), &results));
-  return results[0].status;
-}
-
 StatusOr<std::vector<OpResult>> RegistryClient::PublishBatch(
     const std::vector<std::pair<std::string, std::shared_ptr<FlowStateBase>>>&
-        flows,
-    SimTime lease_expiry) {
+        flows) {
   std::vector<Op> ops;
   ops.reserve(flows.size());
   for (const auto& [name, state] : flows) {
@@ -356,7 +258,6 @@ StatusOr<std::vector<OpResult>> RegistryClient::PublishBatch(
     op.kind = OpKind::kPublish;
     op.name = name;
     op.state = state;
-    op.lease_expiry = lease_expiry;
     ops.push_back(std::move(op));
   }
   return ExecuteOps(std::move(ops));
@@ -403,36 +304,6 @@ StatusOr<std::vector<OpResult>> RegistryClient::CloseBatch(
     ops.push_back(std::move(op));
   }
   return ExecuteOps(std::move(ops));
-}
-
-StatusOr<OpResult> RegistryClient::BarrierEnter(const std::string& name,
-                                                uint32_t expected,
-                                                uint64_t generation) {
-  Op op;
-  op.kind = OpKind::kBarrierEnter;
-  op.name = name;
-  op.barrier_expected = expected;
-  op.barrier_generation = generation;
-  std::vector<Op> ops;
-  ops.push_back(std::move(op));
-  std::vector<OpResult> results;
-  DFI_RETURN_IF_ERROR(
-      ExecuteShardBatch(service_->ShardOf(name), std::move(ops), &results));
-  return std::move(results[0]);
-}
-
-StatusOr<OpResult> RegistryClient::BarrierPoll(const std::string& name,
-                                               uint64_t generation) {
-  Op op;
-  op.kind = OpKind::kBarrierPoll;
-  op.name = name;
-  op.barrier_generation = generation;
-  std::vector<Op> ops;
-  ops.push_back(std::move(op));
-  std::vector<OpResult> results;
-  DFI_RETURN_IF_ERROR(
-      ExecuteShardBatch(service_->ShardOf(name), std::move(ops), &results));
-  return std::move(results[0]);
 }
 
 }  // namespace dfi::reg

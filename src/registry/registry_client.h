@@ -1,7 +1,6 @@
 #ifndef DFI_REGISTRY_REGISTRY_CLIENT_H_
 #define DFI_REGISTRY_REGISTRY_CLIENT_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -18,6 +17,13 @@
 
 namespace dfi::reg {
 
+/// Per-call retry budget (virtual ns): total time a batch may spend on
+/// silence/backoff before giving up with kDeadlineExceeded.
+inline constexpr SimTime kRetryDeadlineNs = 50'000'000;
+/// Capped exponential backoff between retries after observed silence.
+inline constexpr SimTime kBackoffInitialNs = 2'000;
+inline constexpr SimTime kBackoffCapNs = 1'000'000;
+
 struct RegistryClientOptions {
   /// Dedup-window identity at the shards. Every client of one service must
   /// use a distinct id.
@@ -25,33 +31,29 @@ struct RegistryClientOptions {
   /// Fabric node the client runs on; kNoNode for driver-thread clients
   /// (no request/reply hop cost, always reachable).
   net::NodeId node = kNoNode;
-  /// Client-side read cache, fenced by shard epoch and lease expiry.
-  /// Disable for loopback deployments: their epoch never changes, so a
-  /// cached entry would never be invalidated by a failover.
+  /// Client-side read cache, fenced by shard epoch. Disable for loopback
+  /// deployments: their epoch never changes, so a cached entry would never
+  /// be invalidated by a failover.
   bool enable_cache = true;
-  /// Per-call retry budget (virtual ns): total time a batch may spend on
-  /// silence/backoff before giving up with kDeadlineExceeded.
-  SimTime retry_deadline_ns = 50'000'000;
-  /// Capped exponential backoff between retries after observed silence.
-  SimTime backoff_initial_ns = 2'000;
-  SimTime backoff_cap_ns = 1'000'000;
 };
 
 struct RegistryClientStats {
   uint64_t rpcs = 0;            // Execute() round trips issued
   uint64_t retries = 0;         // re-sends after observed silence
-  uint64_t failovers = 0;       // wrong-primary redirects followed
+  /// Shard-epoch advances observed, from a redirect, a reply or a fresh
+  /// view: one per replica crash the client saw.
+  uint64_t failovers = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;    // cacheable retrieves that went to the wire
   uint64_t cache_invalidations = 0;  // entries dropped on an epoch bump
 };
 
 /// Client stub of the sharded control plane: batches ops per shard, caches
-/// retrieved flow state (fenced by shard epoch + lease expiry), follows
-/// wrong-primary redirects, and turns observed silence into deadline-bounded
-/// retries with capped exponential backoff. All waiting is virtual-time
-/// parking (exec::Engine) inside engine tasks and plain sleeps on OS
-/// threads, so one client implementation serves both modes.
+/// retrieved flow state (fenced by shard epoch), follows wrong-primary
+/// redirects, and turns observed silence into deadline-bounded retries with
+/// capped exponential backoff. The only waiting is the retry backoff: a
+/// virtual-time park inside an engine task, a plain clock charge on an OS
+/// thread.
 ///
 /// Concurrency: a client serializes its traffic to each shard (one logical
 /// FIFO connection per shard — the dedup windows require per-client
@@ -69,45 +71,22 @@ class RegistryClient {
   RegistryClient& operator=(const RegistryClient&) = delete;
 
   const RegistryClientOptions& options() const { return options_; }
-  RegistryService* service() const { return service_; }
-  VirtualClock* clock() const { return clock_; }
 
   // ---- Single-op convenience (one-op batches) ---------------------------
   Status Publish(const std::string& name,
                  std::shared_ptr<FlowStateBase> state);
-  Status PublishWithLease(const std::string& name,
-                          std::shared_ptr<FlowStateBase> state,
-                          SimTime lease_expiry);
   StatusOr<std::shared_ptr<FlowStateBase>> Retrieve(const std::string& name);
-  /// Waits until the flow is published (or the timeout lapses — virtual
-  /// time inside an engine task, real time on a plain thread). kPeerFailed
-  /// and other terminal errors return immediately.
-  StatusOr<std::shared_ptr<FlowStateBase>> RetrieveBlocking(
-      const std::string& name,
-      std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));
   Status Close(const std::string& name);
-  Status MarkFailed(const std::string& name, const Status& cause);
-  Status RenewLease(const std::string& name, SimTime new_expiry);
 
   // ---- Batched API (grouped per shard, one RPC per shard) ---------------
-  /// Publishes `flows` (optionally leased); results in input order.
+  /// Publishes `flows`; results in input order.
   StatusOr<std::vector<OpResult>> PublishBatch(
       const std::vector<std::pair<std::string,
-                                  std::shared_ptr<FlowStateBase>>>& flows,
-      SimTime lease_expiry = 0);
+                                  std::shared_ptr<FlowStateBase>>>& flows);
   StatusOr<std::vector<OpResult>> RetrieveBatch(
       const std::vector<std::string>& names);
   StatusOr<std::vector<OpResult>> CloseBatch(
       const std::vector<std::string>& names);
-
-  // ---- Barrier plumbing (used by FlowBarrier) ---------------------------
-  StatusOr<OpResult> BarrierEnter(const std::string& name, uint32_t expected,
-                                  uint64_t generation);
-  StatusOr<OpResult> BarrierPoll(const std::string& name,
-                                 uint64_t generation);
-
-  /// Drops every cached entry (tests / manual fencing).
-  void InvalidateCache();
 
   RegistryClientStats stats() const;
 
@@ -116,7 +95,6 @@ class RegistryClient {
     std::shared_ptr<FlowStateBase> state;
     ShardId shard = 0;
     Epoch epoch = 0;
-    SimTime lease_expiry = 0;  // 0 = unleased
   };
 
   /// One logical connection to a shard: FIFO, per-client sequence numbers.
@@ -138,11 +116,13 @@ class RegistryClient {
   /// shard, scatters per-op results back into input order.
   StatusOr<std::vector<OpResult>> ExecuteOps(std::vector<Op> ops);
 
-  /// Fences the cache with an epoch observed in a reply/view for `shard`.
+  /// Records an epoch observed in a reply/view for `shard`: counts the
+  /// advance as failovers and fences the cache.
   void ObserveEpoch(ShardId shard, Epoch epoch);
 
   /// Deterministic virtual sleep until `until` (engine: parks on a private
-  /// WaitPoint with a timer; thread: no-op beyond the clock charge).
+  /// WaitPoint with a timer; thread: no-op beyond the clock charge — the
+  /// registry tests run retries on plain threads).
   void SleepUntilVt(SimTime from, SimTime until);
 
   Status CacheLookup(const std::string& name,

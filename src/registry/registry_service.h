@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -19,6 +18,11 @@ class Fabric;
 
 namespace dfi::reg {
 
+/// Per-op service CPU at a replica (fabric mode only).
+inline constexpr SimTime kOpServeNs = 120;
+/// Modeled wire size of one op's request/reply record.
+inline constexpr uint32_t kOpWireBytes = 96;
+
 struct RegistryServiceOptions {
   /// Number of shards (hash of flow name → shard).
   uint32_t num_shards = 1;
@@ -30,10 +34,6 @@ struct RegistryServiceOptions {
   /// non-empty it must hold num_shards * replication node ids and a fabric
   /// must be bound.
   std::vector<net::NodeId> replica_nodes;
-  /// Per-op service CPU at a replica (fabric mode only).
-  SimTime op_serve_ns = 120;
-  /// Modeled wire size of one op's request/reply record.
-  uint32_t op_wire_bytes = 96;
   /// Retain the full event list for Events()/TraceString(). The rolling
   /// order-insensitive TraceHash() is always maintained; the list costs
   /// memory per applied op, so big churn runs leave this off.
@@ -43,7 +43,7 @@ struct RegistryServiceOptions {
 /// The sharded, replicated control plane behind the DFI flow registry.
 ///
 /// The namespace is hash-partitioned into `num_shards` shards; each shard
-/// is `replication` replica stores (each one a FlowRegistry) with a
+/// is `replication` replica stores (each a name -> flow-state map) with a
 /// primary/backup epoch protocol:
 ///
 ///   - The primary of shard S at virtual time t is its lowest-index replica
@@ -89,11 +89,6 @@ class RegistryService {
   /// comment for the failure model.
   BatchResult Execute(const BatchRequest& request, SimTime start);
 
-  /// Driver-side lease scrubber: fails lapsed leases on every replica of
-  /// every shard at virtual time `now`; returns newly failed flows (as
-  /// counted at the shards' primaries).
-  size_t MarkExpired(SimTime now);
-
   /// Total live flows across shard primaries at `at` (audit/metrics).
   size_t TotalFlows(SimTime at) const;
 
@@ -128,19 +123,10 @@ class RegistryService {
     std::vector<OpResult> last_results;
   };
 
-  struct BarrierState {
-    uint32_t expected = 0;
-    uint64_t generation = 0;  // current (unreleased) generation
-    std::map<uint64_t, SimTime> arrivals;  // client_id -> arrival vt
-    SimTime last_release_at = 0;
-    bool ever_released = false;
-  };
-
-  /// One replica store: a FlowRegistry plus dedup windows and barriers.
+  /// One replica store: the published flows plus the dedup windows.
   struct Replica {
-    FlowRegistry store;
+    std::unordered_map<std::string, std::shared_ptr<FlowStateBase>> flows;
     std::unordered_map<uint64_t, ClientWindow> clients;
-    std::unordered_map<std::string, BarrierState> barriers;
   };
 
   struct Shard {
@@ -149,10 +135,9 @@ class RegistryService {
     std::vector<RegistryEvent> events;  // iff record_trace
   };
 
-  /// Executes `op` against `replica`'s stores at virtual time `at`
-  /// (no dedup bookkeeping — the caller owns the window).
-  OpResult ApplyOp(Replica* replica, const Op& op, uint64_t client_id,
-                   SimTime at) const;
+  /// Executes `op` against `replica`'s flows (no dedup bookkeeping — the
+  /// caller owns the window and holds the shard mutex).
+  static OpResult ApplyOp(Replica* replica, const Op& op);
 
   /// Applies one op with dedup at the primary and replicates it to live
   /// backups. Caller holds the shard mutex.

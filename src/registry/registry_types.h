@@ -9,7 +9,7 @@
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "net/rpc.h"
-#include "registry/flow_registry.h"
+#include "registry/flow_state.h"
 
 /// Typed request/reply messages of the sharded control plane — the
 /// emulation's equivalent of DFI-public's RegistryServer wire protocol
@@ -27,13 +27,9 @@ using Epoch = uint64_t;
 inline constexpr net::NodeId kNoNode = static_cast<net::NodeId>(-1);
 
 enum class OpKind : uint8_t {
-  kPublish,      // name, state, lease_expiry
-  kRetrieve,     // name
-  kClose,        // name (Remove)
-  kMarkFailed,   // name, fail_cause
-  kRenewLease,   // name, lease_expiry (new expiry; applied at service time)
-  kBarrierEnter, // name, barrier_expected, barrier_generation
-  kBarrierPoll,  // name, barrier_generation
+  kPublish,   // name, state
+  kRetrieve,  // name
+  kClose,     // name
 };
 
 /// Returns a one-character mnemonic for trace rendering ('P', 'R', ...).
@@ -44,23 +40,16 @@ struct Op {
   OpKind kind = OpKind::kRetrieve;
   std::string name;
   std::shared_ptr<FlowStateBase> state;  // kPublish
-  SimTime lease_expiry = 0;              // kPublish / kRenewLease
-  Status fail_cause;                     // kMarkFailed
-  uint32_t barrier_expected = 0;         // kBarrierEnter
-  uint64_t barrier_generation = 0;       // barrier ops
 };
 
 /// Per-op reply.
 struct OpResult {
   Status status;
   std::shared_ptr<FlowStateBase> state;  // kRetrieve
-  SimTime lease_expiry = 0;              // kRetrieve (0 = unleased)
   /// The op's sequence number was already applied (a retry after a primary
   /// crash hit the dedup window): the stored result is returned and nothing
   /// is re-executed — the exactly-once half of the protocol.
   bool duplicate = false;
-  bool barrier_released = false;    // barrier ops
-  SimTime barrier_release_at = 0;   // virtual release time (max arrival)
 };
 
 /// One batched RPC: `ops[i]` carries sequence number `base_seq + i` for the

@@ -2,11 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
 #include "apps/consensus/kv_store.h"
 #include "apps/consensus/messages.h"
+#include "common/exec/engine.h"
 
 namespace dfi::consensus {
 namespace {
+
+/// Runs `fn` as the root task of a 1-worker engine: the consensus apps'
+/// idle waits park their actors as fibers, so they only run on an engine.
+template <typename Fn>
+auto OnEngine(Fn fn) -> decltype(fn()) {
+  std::optional<decltype(fn())> out;
+  exec::Engine engine({.workers = 1});
+  engine.Spawn(0, "root", [&] { out.emplace(fn()); });
+  engine.Run();
+  return std::move(*out);
+}
 
 TEST(KvStoreTest, PutGet) {
   KvStore kv;
@@ -52,7 +67,7 @@ TEST_F(ConsensusTest, MultiPaxosCompletesAllRequests) {
   const ConsensusConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg);
   DfiRuntime dfi(&fabric);
-  auto result = RunMultiPaxos(&dfi, addrs, cfg);
+  auto result = OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->completed,
             uint64_t{cfg.num_clients} * cfg.requests_per_client);
@@ -71,7 +86,7 @@ TEST_F(ConsensusTest, MultiPaxosSurvivesLeaderCrashWithWindow) {
   auto addrs = SetUpNodes(&fabric, cfg);
   fabric.fault_plan().CrashNode(*fabric.ResolveAddress(addrs[0]), 100'000);
   DfiRuntime dfi(&fabric);
-  auto result = RunMultiPaxos(&dfi, addrs, cfg);
+  auto result = OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->completed,
             uint64_t{cfg.num_clients} * cfg.requests_per_client);
@@ -104,7 +119,7 @@ TEST_F(ConsensusTest, FailureFreeMultiPaxosPublishesNoTerm2Flows) {
       spec.schema = Vote::MakeSchema();
       EXPECT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
     }
-    auto result = RunMultiPaxos(&dfi, addrs, cfg);
+    auto result = OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
     if (result.ok()) {
       EXPECT_EQ(result->resubmitted, 0u);
       EXPECT_EQ(result->recovery_first_reply_ns, 0);
@@ -120,7 +135,7 @@ TEST_F(ConsensusTest, NoPaxosCompletesAllRequests) {
   const ConsensusConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg);
   DfiRuntime dfi(&fabric);
-  auto result = RunNoPaxos(&dfi, addrs, cfg);
+  auto result = OnEngine([&] { return RunNoPaxos(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->completed,
             uint64_t{cfg.num_clients} * cfg.requests_per_client);
@@ -132,7 +147,7 @@ TEST_F(ConsensusTest, DareCompletesAllRequests) {
   const ConsensusConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg);
   DfiRuntime dfi(&fabric);
-  auto result = RunDare(&dfi, addrs, cfg);
+  auto result = OnEngine([&] { return RunDare(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->completed,
             uint64_t{cfg.num_clients} * cfg.requests_per_client);
@@ -148,7 +163,7 @@ TEST_F(ConsensusTest, DfiSystemsOutperformDare) {
     net::Fabric f;
     auto addrs = SetUpNodes(&f, cfg);
     DfiRuntime dfi(&f);
-    auto r = RunDare(&dfi, addrs, cfg);
+    auto r = OnEngine([&] { return RunDare(&dfi, addrs, cfg); });
     ASSERT_TRUE(r.ok());
     dare_rps = r->throughput_rps;
   }
@@ -156,7 +171,7 @@ TEST_F(ConsensusTest, DfiSystemsOutperformDare) {
     net::Fabric f;
     auto addrs = SetUpNodes(&f, cfg);
     DfiRuntime dfi(&f);
-    auto r = RunMultiPaxos(&dfi, addrs, cfg);
+    auto r = OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
     ASSERT_TRUE(r.ok());
     paxos_rps = r->throughput_rps;
   }
@@ -164,7 +179,7 @@ TEST_F(ConsensusTest, DfiSystemsOutperformDare) {
     net::Fabric f;
     auto addrs = SetUpNodes(&f, cfg);
     DfiRuntime dfi(&f);
-    auto r = RunNoPaxos(&dfi, addrs, cfg);
+    auto r = OnEngine([&] { return RunNoPaxos(&dfi, addrs, cfg); });
     ASSERT_TRUE(r.ok());
     nopaxos_rps = r->throughput_rps;
   }
@@ -182,12 +197,15 @@ TEST_F(ConsensusTest, ValidatesReplicaCount) {
     addrs.push_back(fabric.node(i).address());
   }
   DfiRuntime dfi(&fabric);
-  EXPECT_EQ(RunMultiPaxos(&dfi, addrs, cfg).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(RunNoPaxos(&dfi, addrs, cfg).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(RunDare(&dfi, addrs, cfg).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); }).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      OnEngine([&] { return RunNoPaxos(&dfi, addrs, cfg); }).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      OnEngine([&] { return RunDare(&dfi, addrs, cfg); }).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -38,6 +38,8 @@ TEST(RegistryServiceTest, LoopbackPublishRetrieveClose) {
   RegistryService service(/*fabric=*/nullptr);
   RegistryClient client(&service);
   ASSERT_TRUE(client.Publish("f", State(7)).ok());
+  EXPECT_EQ(client.Publish("f", State(8)).code(),
+            StatusCode::kAlreadyExists);
   auto r = client.Retrieve("f");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(ValueOf(*r), 7);
@@ -45,6 +47,12 @@ TEST(RegistryServiceTest, LoopbackPublishRetrieveClose) {
   ASSERT_TRUE(client.Close("f").ok());
   EXPECT_EQ(service.TotalFlows(0), 0u);
   EXPECT_EQ(client.Retrieve("f").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(client.Close("f").code(), StatusCode::kNotFound);
+  // Close frees the name for a fresh publish.
+  ASSERT_TRUE(client.Publish("f", State(9)).ok());
+  r = client.Retrieve("f");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(ValueOf(*r), 9);
 }
 
 TEST(RegistryServiceTest, ShardRoutingIsStableAndValidated) {
@@ -137,6 +145,21 @@ TEST_F(ReplicatedRegistryTest, FailoverBumpsEpochAndPromotesBackup) {
   EXPECT_EQ(after.primary, 1u);
   EXPECT_EQ(after.primary_node, nodes_[2]);
   EXPECT_TRUE(after.available);
+
+  // A client without a cache finds the promoted primary through a fresh
+  // view, never through a redirect, and still counts the one failover.
+  VirtualClock clock;
+  RegistryClient client(service_.get(),
+                        RegistryClientOptions{.client_id = 1,
+                                              .node = nodes_[0],
+                                              .enable_cache = false},
+                        &clock);
+  ASSERT_TRUE(client.Publish("f", State(1)).ok());
+  EXPECT_EQ(client.stats().failovers, 0u);
+  clock.AdvanceTo(2'000'000);
+  ASSERT_TRUE(client.Retrieve("f").ok());
+  ASSERT_TRUE(client.Retrieve("f").ok());
+  EXPECT_EQ(client.stats().failovers, 1u);
 }
 
 TEST_F(ReplicatedRegistryTest, ReplicatedStateSurvivesPrimaryCrash) {
@@ -184,10 +207,9 @@ TEST_F(ReplicatedRegistryTest, MidBatchCrashRetriesExactlyOnce) {
   // double-applied (a double apply would surface as kAlreadyExists).
   const uint32_t kOps = 6;
   const SimTime hop =
-      Hop(nodes_[0], nodes_[1], 0,
-          service_->options().op_wire_bytes * kOps);
+      Hop(nodes_[0], nodes_[1], 0, kOpWireBytes * kOps);
   const SimTime t_arrive = hop;
-  const SimTime per_op = service_->options().op_serve_ns;
+  const SimTime per_op = kOpServeNs;
   fabric_.fault_plan().CrashNode(nodes_[1], t_arrive + per_op * 2 + 1);
 
   VirtualClock clock;
@@ -237,16 +259,17 @@ TEST_F(ReplicatedRegistryTest, PartitionedClientExhaustsRetryDeadline) {
   Build();
   fabric_.fault_plan().Partition({nodes_[0]}, /*at=*/0);
   VirtualClock clock;
-  RegistryClient client(service_.get(),
-                        RegistryClientOptions{.client_id = 1,
-                                              .node = nodes_[0],
-                                              .retry_deadline_ns = 300'000},
-                        &clock);
+  RegistryClient client(
+      service_.get(),
+      RegistryClientOptions{.client_id = 1, .node = nodes_[0]}, &clock);
   const Status s = client.Publish("f", State(1));
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
   const RegistryClientStats stats = client.stats();
   EXPECT_GE(stats.retries, 2u);  // capped exponential backoff ran
-  EXPECT_LE(clock.now(), 400'000);
+  // The client gives up once the next backoff would cross the deadline,
+  // after observing the last silence (one round trip past a resend).
+  EXPECT_GT(clock.now(), kRetryDeadlineNs - kBackoffCapNs);
+  EXPECT_LE(clock.now(), kRetryDeadlineNs + 100'000);
 }
 
 TEST_F(ReplicatedRegistryTest, ClientCacheFencedByEpochBump) {
@@ -334,8 +357,10 @@ uint64_t RunChurn(uint32_t workers, std::string* trace) {
     engine.Spawn(c, "client" + std::to_string(c), [&, c] {
       RegistryClient& cl = *clients[c];
       for (uint32_t i = 0; i < kFlowsPerClient; ++i) {
-        const std::string name =
-            "w" + std::to_string(c) + ".f" + std::to_string(i);
+        // Appends in place: chained operator+ temporaries trip GCC 12's
+        // -Werror=restrict in Release builds.
+        std::string name = "w";
+        name.append(std::to_string(c)).append(".f").append(std::to_string(i));
         ASSERT_TRUE(cl.Publish(name, State(static_cast<int>(i))).ok());
         ASSERT_TRUE(cl.Retrieve(name).ok());
         if (i % 2 == 0) {
