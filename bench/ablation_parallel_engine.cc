@@ -7,7 +7,7 @@
 // consumer — the tightly coupled interleaving every multi-actor emulation
 // exhibits — so the pair hands off on every delivery. Thread-per-actor pays
 // two kernel context switches per handoff across n oversubscribed OS
-// threads; the engine parks and resumes ucontext fibers in user space on a
+// threads; the engine switches fibers in user space, syscall-free, on a
 // fixed worker pool. The skew window is pure real-time synchronization
 // (it never touches a virtual clock), and the flow's own backpressure
 // paths stay cold (credits never run low at this window size), so every

@@ -32,11 +32,13 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 # threads and hot-key migration rewires routing mid-flow — both are prime
 # race/lifetime territory, so shake the property suite too.
 "$BUILD/tests/core_adaptive_shuffle_property_test" --gtest_repeat=3 --gtest_shuffle
+# The engine's hand-written fiber switch: repeat the scheduler unit tests
+# under every sanitizer. ASan catches stale stack poison on recycled fiber
+# stacks; TSan checks the scheduler lock hand-off across each switch.
+"$BUILD/tests/exec_engine_test" --gtest_repeat=10 --gtest_shuffle
 if [ "$KIND" = "thread" ]; then
-  # TSan focus: the work-stealing engine. Repeat the scheduler unit tests
-  # and the cross-pool-size determinism suite — every park/wake handoff,
-  # steal, and fiber switch in the emulator runs under the race detector.
-  "$BUILD/tests/exec_engine_test" --gtest_repeat=10 --gtest_shuffle
+  # TSan focus: the cross-pool-size determinism suite — every park/wake
+  # handoff and steal in the emulator runs under the race detector.
   "$BUILD/tests/engine_determinism_test" --gtest_repeat=3
 fi
 # Multi-Paxos leader failover: RunMultiPaxos with a leader crash scripted

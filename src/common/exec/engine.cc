@@ -6,7 +6,6 @@
 
 #include <pthread.h>
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,14 +14,15 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
+#include <new>
 #include <set>
 #include <utility>
 
 #include "common/logging.h"
 
 // Sanitizer fiber support: without these annotations ASan cannot track the
-// fiber stacks across swapcontext and TSan reports every cross-fiber access
-// as a race. Both interfaces are feature-detected so plain builds pay
+// fiber stacks across a switch and TSan reports every cross-fiber access as
+// a race. Both interfaces are feature-detected so plain builds pay
 // nothing.
 #if defined(__SANITIZE_ADDRESS__)
 #define DFI_EXEC_ASAN 1
@@ -41,11 +41,73 @@
 #endif
 
 #if defined(DFI_EXEC_ASAN)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(DFI_EXEC_TSAN)
 #include <sanitizer/tsan_interface.h>
 #endif
+
+#if !defined(__x86_64__)
+#error "the exec engine's fiber switch is written for x86-64 only"
+#endif
+
+// Fiber switch without a syscall. dfi_exec_fiber_switch pushes the
+// callee-saved registers, MXCSR and the x87 control word onto the current
+// stack, stores the stack pointer in *save_sp, loads load_sp and pops the
+// other side's frame (a SwitchFrame). The signal mask is not switched.
+// dfi_exec_fiber_entry is the return address of a fresh fiber's frame: it
+// calls r13(r12), i.e. Engine::Impl::Trampoline(task), with rsp 16-byte
+// aligned, and marks the end of the stack for unwinders.
+extern "C" {
+void dfi_exec_fiber_switch(void** save_sp, void* load_sp);
+void dfi_exec_fiber_entry();
+}
+
+asm(R"(
+  .pushsection .text
+  .globl dfi_exec_fiber_switch
+  .hidden dfi_exec_fiber_switch
+  .type dfi_exec_fiber_switch, @function
+  .p2align 4
+dfi_exec_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size dfi_exec_fiber_switch, .-dfi_exec_fiber_switch
+
+  .globl dfi_exec_fiber_entry
+  .hidden dfi_exec_fiber_entry
+  .type dfi_exec_fiber_entry, @function
+  .p2align 4
+dfi_exec_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size dfi_exec_fiber_entry, .-dfi_exec_fiber_entry
+  .popsection
+)");
 
 namespace dfi::exec {
 
@@ -53,10 +115,20 @@ namespace {
 
 constexpr SimTime kMaxSimTime = std::numeric_limits<SimTime>::max();
 
+/// What dfi_exec_fiber_switch leaves at a suspended fiber's saved stack
+/// pointer, lowest address first.
+struct SwitchFrame {
+  uint32_t mxcsr;
+  uint16_t fpu_cw, pad;
+  uint64_t r15, r14, r13, r12, rbx, rbp;
+  void (*ret)();
+};
+static_assert(sizeof(SwitchFrame) % 16 == 0, "rsp 16-aligned at entry call");
+
 /// One switchable execution context: either a worker thread's native stack
 /// or a task's fiber stack.
 struct FiberCtx {
-  ucontext_t uc;
+  void* sp = nullptr;  // saved stack pointer while switched away
 #if defined(DFI_EXEC_ASAN)
   void* asan_fake = nullptr;
   const void* stack_bottom = nullptr;
@@ -103,34 +175,32 @@ namespace {
 thread_local Task* g_current_task = nullptr;
 thread_local FiberCtx* g_worker_ctx = nullptr;
 
-/// Switches from `from` to `to`. The caller must hold the engine mutex; it
-/// stays held across the switch (same OS thread) and the resumed side is
-/// responsible for releasing it.
-void SwitchContext(FiberCtx* from, FiberCtx* to) {
+/// Switches from `from` to `to`. The caller must hold `mu`; it stays held
+/// across the switch (same OS thread) and the resumed side is responsible
+/// for releasing it, so TSan, which tracks lock ownership per fiber, is told
+/// of a release here and an acquire on the other side. A finished task
+/// switches away `dying`: ASan drops its fake stack and it never resumes.
+void SwitchContext(FiberCtx* from, FiberCtx* to,
+                   [[maybe_unused]] std::mutex* mu, bool dying = false) {
 #if defined(DFI_EXEC_ASAN)
-  __sanitizer_start_switch_fiber(&from->asan_fake, to->stack_bottom,
-                                 to->stack_size);
+  __sanitizer_start_switch_fiber(dying ? nullptr : &from->asan_fake,
+                                 to->stack_bottom, to->stack_size);
 #endif
 #if defined(DFI_EXEC_TSAN)
+  __tsan_mutex_pre_unlock(mu, 0);
+  __tsan_mutex_post_unlock(mu, 0);
   __tsan_switch_to_fiber(to->tsan_fiber, 0);
 #endif
-  swapcontext(&from->uc, &to->uc);
+  dfi_exec_fiber_switch(&from->sp, to->sp);
+  DFI_CHECK(!dying) << "finished task resumed";
   // Resumed in `from` again (possibly on a different OS thread / worker).
 #if defined(DFI_EXEC_ASAN)
   __sanitizer_finish_switch_fiber(from->asan_fake, nullptr, nullptr);
 #endif
-}
-
-/// Final switch away from a finished task: its fake stack is released.
-void SwitchContextDying(FiberCtx* from, FiberCtx* to) {
-#if defined(DFI_EXEC_ASAN)
-  __sanitizer_start_switch_fiber(nullptr, to->stack_bottom, to->stack_size);
-#endif
 #if defined(DFI_EXEC_TSAN)
-  __tsan_switch_to_fiber(to->tsan_fiber, 0);
+  __tsan_mutex_pre_lock(mu, 0);
+  __tsan_mutex_post_lock(mu, 0, 0);
 #endif
-  swapcontext(&from->uc, &to->uc);
-  DFI_CHECK(false) << "finished task resumed";
 }
 
 }  // namespace
@@ -307,7 +377,7 @@ struct Engine::Impl {
 
   // ---- fiber lifecycle ----------------------------------------------------
 
-  static void Trampoline(unsigned hi, unsigned lo);
+  [[noreturn]] static void Trampoline(Task* t);
 
   void CreateFiber(Task* t) {
     const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
@@ -318,21 +388,24 @@ struct Engine::Impl {
     DFI_CHECK(base != MAP_FAILED) << "fiber stack mmap failed";
     DFI_CHECK(mprotect(base, page, PROT_NONE) == 0) << "guard page";
     t->stack_base = base;
-    getcontext(&t->ctx.uc);
-    t->ctx.uc.uc_stack.ss_sp = static_cast<char*>(base) + page;
-    t->ctx.uc.uc_stack.ss_size = stack;
-    t->ctx.uc.uc_link = nullptr;
 #if defined(DFI_EXEC_ASAN)
     t->ctx.stack_bottom = static_cast<char*>(base) + page;
     t->ctx.stack_size = stack;
+    // A recycled mapping may still carry a dead fiber's stack poison.
+    __asan_unpoison_memory_region(t->ctx.stack_bottom, stack);
 #endif
 #if defined(DFI_EXEC_TSAN)
     t->ctx.tsan_fiber = __tsan_create_fiber(0);
 #endif
-    const auto addr = reinterpret_cast<uintptr_t>(t);
-    makecontext(&t->ctx.uc, reinterpret_cast<void (*)()>(&Trampoline), 2,
-                static_cast<unsigned>(addr >> 32),
-                static_cast<unsigned>(addr & 0xffffffffu));
+    auto* frame = new (static_cast<char*>(base) + t->stack_total -
+                       sizeof(SwitchFrame)) SwitchFrame{};
+    // The fiber starts with its spawner's floating-point control state.
+    asm volatile("stmxcsr %0\n\tfnstcw %1"
+                 : "=m"(frame->mxcsr), "=m"(frame->fpu_cw));
+    frame->r12 = reinterpret_cast<uint64_t>(t);
+    frame->r13 = reinterpret_cast<uint64_t>(&Trampoline);
+    frame->ret = &dfi_exec_fiber_entry;
+    t->ctx.sp = frame;
   }
 
   void ReleaseFiber(Task* t) {
@@ -382,7 +455,7 @@ struct Engine::Impl {
       WakeAllOfLocked(&t->group->done_);
     }
     cv_.notify_all();
-    SwitchContextDying(&t->ctx, g_worker_ctx);
+    SwitchContext(&t->ctx, g_worker_ctx, &mu_, /*dying=*/true);
     __builtin_unreachable();
   }
 
@@ -430,7 +503,7 @@ struct Engine::Impl {
       t->state = Task::State::kRunning;
       running_[w] = RunningSlot{t, t->vt};
       g_current_task = t;
-      SwitchContext(&self_ctx, &t->ctx);
+      SwitchContext(&self_ctx, &t->ctx, &mu_);
       // The task parked, yielded or finished; mu_ is held again.
       g_current_task = nullptr;
       running_[w].task = nullptr;
@@ -441,12 +514,13 @@ struct Engine::Impl {
   }
 };
 
-void Engine::Impl::Trampoline(unsigned hi, unsigned lo) {
-  const auto addr =
-      (static_cast<uintptr_t>(hi) << 32) | static_cast<uintptr_t>(lo);
-  Task* t = reinterpret_cast<Task*>(addr);
+void Engine::Impl::Trampoline(Task* t) {
 #if defined(DFI_EXEC_ASAN)
   __sanitizer_finish_switch_fiber(t->ctx.asan_fake, nullptr, nullptr);
+#endif
+#if defined(DFI_EXEC_TSAN)
+  __tsan_mutex_pre_lock(&t->impl->mu_, 0);  // see SwitchContext
+  __tsan_mutex_post_lock(&t->impl->mu_, 0, 0);
 #endif
   t->impl->mu_.unlock();  // dispatched with the scheduler lock held
   t->fn();
@@ -522,7 +596,7 @@ WakeCause Engine::ParkImpl(WaitPoint* wp, bool (*changed)(void*), void* arg,
     im->timed_.insert({t->timed_key, t});
   }
   im->cv_.notify_all();  // the floor may have moved
-  SwitchContext(&t->ctx, g_worker_ctx);
+  SwitchContext(&t->ctx, g_worker_ctx, &im->mu_);
   const WakeCause cause = t->wake_cause;
   t->wp = nullptr;
   im->mu_.unlock();
@@ -537,7 +611,7 @@ void Engine::Yield(SimTime now) {
   if (now >= 0) t->vt = now;
   im->MakeRunnableLocked(t);
   im->cv_.notify_all();
-  SwitchContext(&t->ctx, g_worker_ctx);
+  SwitchContext(&t->ctx, g_worker_ctx, &im->mu_);
   im->mu_.unlock();
 }
 

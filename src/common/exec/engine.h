@@ -59,11 +59,12 @@ struct EngineOptions {
 };
 
 /// Deterministic work-stealing virtual-time engine. Emulated actors are
-/// cooperatively scheduled ucontext fibers with per-domain (per emulated
-/// node) run queues ordered by (virtual time, spawn id); a fixed worker
-/// pool executes any task whose virtual time lies within a conservative
-/// lookahead window of the engine-wide virtual-time floor, stealing the
-/// globally minimal task when a worker's own domains drain. Blocking
+/// cooperatively scheduled stackful fibers, switched in user space without
+/// a syscall (x86-64 only), with per-domain (per emulated node) run queues
+/// ordered by (virtual time, spawn id); a fixed worker pool executes any
+/// task whose virtual time lies within a conservative lookahead window of
+/// the engine-wide virtual-time floor, stealing the globally minimal task
+/// when a worker's own domains drain. Blocking
 /// primitives park the fiber (WaitPoint) instead of sleeping the OS thread,
 /// so hundreds of emulated nodes run on a handful of host threads.
 ///

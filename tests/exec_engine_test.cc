@@ -1,12 +1,17 @@
 // Unit tests for the deterministic work-stealing virtual-time engine
 // (src/common/exec): task scheduling order, WaitPoint park/wake, timed
-// parks (DES jumps), ActorGroup spawn/join in both modes, and the
-// progress-epoch idle protocol.
+// parks (DES jumps), ActorGroup spawn/join in both modes, the
+// progress-epoch idle protocol, and the fiber switch itself (per-fiber
+// floating-point control state, unwinding, stack recycling, deep stacks).
 
 #include "common/exec/engine.h"
 
 #include <atomic>
+#include <cfenv>
+#include <cstdint>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -139,6 +144,126 @@ TEST(EngineTest, MultiWorkerCompletesAllTasks) {
   });
   engine.Run();
   EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(EngineTest, FibersKeepTheirOwnRoundingMode) {
+  // The switch saves MXCSR (SSE) and the x87 control word per fiber. Two
+  // fibers with different rounding modes alternate on one worker; each must
+  // keep computing in its own mode, and the worker's mode must survive.
+  Engine engine({.workers = 1, .lookahead_ns = 0});
+  const int modes[2] = {FE_UPWARD, FE_TOWARDZERO};
+  std::vector<int> order;
+  int mismatches = 0;
+  for (int i = 0; i < 2; ++i) {
+    engine.Spawn(static_cast<uint32_t>(i), "rounder", [&, i] {
+      std::fesetround(modes[i]);
+      volatile double one = 1.0;
+      volatile long double one_x87 = 1.0L;
+      const double sse = one / 3.0;
+      const long double x87 = one_x87 / 3.0L;
+      for (int round = 1; round <= 5; ++round) {
+        Engine::Yield(static_cast<SimTime>(round) * 10 + i);
+        order.push_back(i);
+        if (std::fegetround() != modes[i] || one / 3.0 != sse ||
+            one_x87 / 3.0L != x87) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  engine.Run();
+  EXPECT_EQ(mismatches, 0);
+  ASSERT_EQ(order.size(), 10u);
+  for (size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(order[k], static_cast<int>(k % 2)) << "fibers must alternate";
+  }
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+TEST(EngineTest, ExceptionUnwindsInsideFiberAcrossPark) {
+  Engine engine({.workers = 1});
+  WaitPoint wp;
+  bool flag = false;
+  int destroyed = 0;
+  std::string caught;
+  struct Guard {
+    int* destroyed;
+    ~Guard() { ++*destroyed; }
+  };
+  engine.Spawn(0, "thrower", [&] {
+    try {
+      Guard guard{&destroyed};
+      auto done = [&] { return flag; };
+      while (!done()) Engine::Park(&wp, done, 0, Engine::kNoTimer);
+      throw std::runtime_error("thrown after resume");
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+  });
+  engine.Spawn(1, "waker", [&] {
+    flag = true;
+    wp.WakeAll();
+  });
+  engine.Run();
+  EXPECT_EQ(caught, "thrown after resume");
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(EngineTest, StackChurnRecyclesFiberStacks) {
+  // Thousands of short tasks in waves: finished fibers' stacks are unmapped
+  // and the next wave's mmaps reuse them. Under ASan this catches stale
+  // stack poison left by a dead fiber.
+  constexpr int kWaves = 10;
+  constexpr int kPerWave = 250;
+  Engine engine({.workers = 1});
+  std::atomic<int> ran{0};
+  engine.Spawn(0, "root", [&] {
+    for (int wave = 0; wave < kWaves; ++wave) {
+      ActorGroup group;
+      for (int i = 0; i < kPerWave; ++i) {
+        group.Spawn(static_cast<uint32_t>(i % 8), "short", [&, i] {
+          volatile char scratch[512];
+          for (size_t k = 0; k < sizeof(scratch); ++k) {
+            scratch[k] = static_cast<char>(i + k);
+          }
+          ran.fetch_add(scratch[0] == static_cast<char>(i) ? 1 : 0);
+        });
+      }
+      group.Join();
+    }
+  });
+  engine.Run();
+  EXPECT_EQ(ran.load(), kWaves * kPerWave);
+}
+
+// Recurses through `depth` frames of 4 KiB each; stores the deepest frame's
+// address in *deepest and returns the sum of the depths it visited.
+[[gnu::noinline]] uint64_t TouchStack(int depth, uintptr_t* deepest) {
+  volatile char frame[4096];
+  for (size_t k = 0; k < sizeof(frame); k += 64) {
+    frame[k] = static_cast<char>(depth);
+  }
+  if (depth == 1) {
+    *deepest = reinterpret_cast<uintptr_t>(&frame[0]);
+    return 1;
+  }
+  return static_cast<uint64_t>(frame[0]) + TouchStack(depth - 1, deepest);
+}
+
+TEST(EngineTest, TaskUsesMostOfItsStack) {
+  constexpr int kDepth = 50;  // 50 x 4 KiB = 200 KiB of a 256 KiB stack
+  Engine engine({.workers = 1, .stack_bytes = 256 * 1024});
+  uint64_t sum = 0;
+  uintptr_t used = 0;
+  engine.Spawn(0, "deep", [&] {
+    volatile char top = 0;
+    uintptr_t deepest = 0;
+    sum = TouchStack(kDepth, &deepest);
+    used = reinterpret_cast<uintptr_t>(&top) - deepest;
+  });
+  engine.Run();
+  EXPECT_EQ(sum, static_cast<uint64_t>(kDepth * (kDepth + 1) / 2));
+  EXPECT_GE(used, 200u * 1024);
 }
 
 TEST(ActorGroupTest, ThreadModeOutsideEngine) {
