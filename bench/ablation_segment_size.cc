@@ -21,70 +21,76 @@ constexpr uint32_t kTupleSize = 64;
 constexpr uint64_t kTableBytes = 32 * kMiB;
 
 double Throughput(uint32_t segment_size, uint32_t source_segments) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, 2);
-  DfiRuntime dfi(&fabric);
-  ShuffleFlowSpec spec;
-  spec.name = "ab";
-  spec.sources.Append(Endpoint{addrs[0], 0});
-  spec.targets.Append(Endpoint{addrs[1], 0});
-  spec.schema = PaddedSchema(kTupleSize);
-  spec.options.segment_size = segment_size;
-  spec.options.source_segments = source_segments;
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, 2);
+    DfiRuntime dfi(&fabric);
+    ShuffleFlowSpec spec;
+    spec.name = "ab";
+    spec.sources.Append(Endpoint{addrs[0], 0});
+    spec.targets.Append(Endpoint{addrs[1], 0});
+    spec.schema = PaddedSchema(kTupleSize);
+    spec.options.segment_size = segment_size;
+    spec.options.source_segments = source_segments;
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  std::thread producer([&] {
-    auto src = dfi.CreateShuffleSource("ab", 0);
-    std::vector<uint8_t> buf(kTupleSize, 0);
-    for (uint64_t i = 0; i < kTableBytes / kTupleSize; ++i) {
-      TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
-      DFI_CHECK_OK((*src)->Push(buf.data()));
+    exec::ActorGroup actors;
+    actors.Spawn("source", [&] {
+      auto src = dfi.CreateShuffleSource("ab", 0);
+      std::vector<uint8_t> buf(kTupleSize, 0);
+      for (uint64_t i = 0; i < kTableBytes / kTupleSize; ++i) {
+        TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
+        DFI_CHECK_OK((*src)->Push(buf.data()));
+      }
+      DFI_CHECK_OK((*src)->Close());
+    });
+    auto tgt = dfi.CreateShuffleTarget("ab", 0);
+    SegmentView seg;
+    while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
     }
-    DFI_CHECK_OK((*src)->Close());
+    actors.Join();
+    return static_cast<double>(kTableBytes) /
+           static_cast<double>((*tgt)->clock().now());
   });
-  auto tgt = dfi.CreateShuffleTarget("ab", 0);
-  SegmentView seg;
-  while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
-  }
-  producer.join();
-  return static_cast<double>(kTableBytes) /
-         static_cast<double>((*tgt)->clock().now());
 }
 
 /// Virtual time until the FIRST tuple of a steady stream (one push every
 /// 100 ns) is consumable at the target: the batch-fill wait a tuple pays
 /// before its segment ships — the latency half of the tradeoff.
 SimTime FirstTupleLatency(uint32_t segment_size) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, 2);
-  DfiRuntime dfi(&fabric);
-  ShuffleFlowSpec spec;
-  spec.name = "ab";
-  spec.sources.Append(Endpoint{addrs[0], 0});
-  spec.targets.Append(Endpoint{addrs[1], 0});
-  spec.schema = PaddedSchema(kTupleSize);
-  spec.options.segment_size = segment_size;
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, 2);
+    DfiRuntime dfi(&fabric);
+    ShuffleFlowSpec spec;
+    spec.name = "ab";
+    spec.sources.Append(Endpoint{addrs[0], 0});
+    spec.targets.Append(Endpoint{addrs[1], 0});
+    spec.schema = PaddedSchema(kTupleSize);
+    spec.options.segment_size = segment_size;
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  std::thread producer([&] {
-    auto src = dfi.CreateShuffleSource("ab", 0);
-    std::vector<uint8_t> buf(kTupleSize, 1);
-    // Enough tuples to fill several segments of the largest setting.
-    for (uint64_t i = 0; i < 4 * 65536 / kTupleSize; ++i) {
-      (*src)->clock().Advance(100);  // application produces one per 100 ns
-      TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
-      DFI_CHECK_OK((*src)->Push(buf.data()));
+    exec::ActorGroup actors;
+    actors.Spawn("source", [&] {
+      auto src = dfi.CreateShuffleSource("ab", 0);
+      std::vector<uint8_t> buf(kTupleSize, 1);
+      // Enough tuples to fill several segments of the largest setting.
+      for (uint64_t i = 0; i < 4 * 65536 / kTupleSize; ++i) {
+        (*src)->clock().Advance(100);  // application produces one per 100 ns
+        TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
+        DFI_CHECK_OK((*src)->Push(buf.data()));
+      }
+      DFI_CHECK_OK((*src)->Close());
+    });
+    auto tgt = dfi.CreateShuffleTarget("ab", 0);
+    TupleView tuple;
+    DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
+    const SimTime latency = (*tgt)->clock().now();
+    while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
     }
-    DFI_CHECK_OK((*src)->Close());
+    actors.Join();
+    return latency;
   });
-  auto tgt = dfi.CreateShuffleTarget("ab", 0);
-  TupleView tuple;
-  DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
-  const SimTime latency = (*tgt)->clock().now();
-  while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-  }
-  producer.join();
-  return latency;
 }
 
 void Run() {

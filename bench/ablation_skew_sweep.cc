@@ -66,44 +66,65 @@ RunStats RunShuffle(const SweepConfig& cfg,
                     const std::vector<std::vector<JoinTuple>>& relations,
                     bool adaptive, bool react_to_backpressure,
                     int straggle_worker = -1, SimTime straggle = 8) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, cfg.nodes);
-  DfiRuntime dfi(&fabric);
-  ShuffleFlowSpec spec;
-  spec.name = "skew";
-  spec.sources = DfiNodes::GridOf(addrs, kThreadsPerNode);
-  spec.targets = DfiNodes::GridOf(addrs, kThreadsPerNode);
-  spec.schema = Schema{{"key", DataType::kUInt64},
-                       {"payload", DataType::kUInt64}};
-  if (adaptive) {
-    spec.options.adaptive.enabled = true;
-    // One fair share per epoch is enough to count as hot: the sweep wants
-    // every key the sketch can resolve re-split, not just extreme ones.
-    spec.options.adaptive.hot_factor = 1.0;
-    spec.options.adaptive.epoch_tuples = cfg.epoch_tuples;
-    spec.options.adaptive.max_hot_keys = 8;
-    spec.options.adaptive.react_to_backpressure = react_to_backpressure;
-  }
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, cfg.nodes);
+    DfiRuntime dfi(&fabric);
+    ShuffleFlowSpec spec;
+    spec.name = "skew";
+    spec.sources = DfiNodes::GridOf(addrs, kThreadsPerNode);
+    spec.targets = DfiNodes::GridOf(addrs, kThreadsPerNode);
+    spec.schema = Schema{{"key", DataType::kUInt64},
+                         {"payload", DataType::kUInt64}};
+    if (adaptive) {
+      spec.options.adaptive.enabled = true;
+      // One fair share per epoch is enough to count as hot: the sweep wants
+      // every key the sketch can resolve re-split, not just extreme ones.
+      spec.options.adaptive.hot_factor = 1.0;
+      spec.options.adaptive.epoch_tuples = cfg.epoch_tuples;
+      spec.options.adaptive.max_hot_keys = 8;
+      spec.options.adaptive.react_to_backpressure = react_to_backpressure;
+    }
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  const uint32_t workers = cfg.nodes * kThreadsPerNode;
-  DFI_CHECK_EQ(relations.size(), workers);
-  RunStats stats;
-  std::atomic<SimTime> finish{0};
-  std::atomic<uint64_t> resplit{0}, diverted{0}, stolen{0};
-  std::vector<std::thread> threads;
-  for (uint32_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      auto src = dfi.CreateShuffleSource("skew", w);
-      auto tgt = dfi.CreateShuffleTarget("skew", w);
-      const SimTime process =
-          static_cast<int>(w) == straggle_worker ? kProcessNs * straggle
-                                                 : kProcessNs;
-      bool drained = false;
-      auto drain_available = [&] {
+    const uint32_t workers = cfg.nodes * kThreadsPerNode;
+    DFI_CHECK_EQ(relations.size(), workers);
+    RunStats stats;
+    std::atomic<SimTime> finish{0};
+    std::atomic<uint64_t> resplit{0}, diverted{0}, stolen{0};
+    exec::ActorGroup actors;
+    for (uint32_t w = 0; w < workers; ++w) {
+      actors.Spawn("worker", [&, w] {
+        auto src = dfi.CreateShuffleSource("skew", w);
+        auto tgt = dfi.CreateShuffleTarget("skew", w);
+        const SimTime process =
+            static_cast<int>(w) == straggle_worker ? kProcessNs * straggle
+                                                   : kProcessNs;
+        bool drained = false;
+        auto drain_available = [&] {
+          SegmentView seg;
+          ConsumeResult r;
+          while (!drained && (*tgt)->TryConsumeSegment(&seg, &r)) {
+            if (r == ConsumeResult::kFlowEnd) {
+              drained = true;
+            } else if (r == ConsumeResult::kOk) {
+              (*tgt)->clock().Advance(
+                  static_cast<SimTime>(seg.bytes / kTupleSize) * process);
+            } else {
+              DFI_CHECK(false) << (*tgt)->last_status();
+            }
+          }
+        };
+        const std::vector<JoinTuple>& rel = relations[w];
+        for (uint64_t i = 0; i < rel.size(); ++i) {
+          (*src)->clock().Advance(kProduceNs);
+          DFI_CHECK_OK((*src)->Push(&rel[i]));
+          if (i % 64 == 0) drain_available();
+        }
+        DFI_CHECK_OK((*src)->Close());
         SegmentView seg;
-        ConsumeResult r;
-        while (!drained && (*tgt)->TryConsumeSegment(&seg, &r)) {
+        while (!drained) {
+          const ConsumeResult r = (*tgt)->ConsumeSegment(&seg);
           if (r == ConsumeResult::kFlowEnd) {
             drained = true;
           } else if (r == ConsumeResult::kOk) {
@@ -113,44 +134,25 @@ RunStats RunShuffle(const SweepConfig& cfg,
             DFI_CHECK(false) << (*tgt)->last_status();
           }
         }
-      };
-      const std::vector<JoinTuple>& rel = relations[w];
-      for (uint64_t i = 0; i < rel.size(); ++i) {
-        (*src)->clock().Advance(kProduceNs);
-        DFI_CHECK_OK((*src)->Push(&rel[i]));
-        if (i % 64 == 0) drain_available();
-      }
-      DFI_CHECK_OK((*src)->Close());
-      SegmentView seg;
-      while (!drained) {
-        const ConsumeResult r = (*tgt)->ConsumeSegment(&seg);
-        if (r == ConsumeResult::kFlowEnd) {
-          drained = true;
-        } else if (r == ConsumeResult::kOk) {
-          (*tgt)->clock().Advance(
-              static_cast<SimTime>(seg.bytes / kTupleSize) * process);
-        } else {
-          DFI_CHECK(false) << (*tgt)->last_status();
+        if (const AdaptivePartitioner* a = (*src)->adaptive(); a != nullptr) {
+          resplit.fetch_add(a->resplit_tuples());
+          diverted.fetch_add(a->diverted_tuples());
         }
-      }
-      if (const AdaptivePartitioner* a = (*src)->adaptive(); a != nullptr) {
-        resplit.fetch_add(a->resplit_tuples());
-        diverted.fetch_add(a->diverted_tuples());
-      }
-      stolen.fetch_add((*tgt)->stolen_segments());
-      const SimTime end =
-          std::max((*src)->clock().now(), (*tgt)->clock().now());
-      SimTime prev = finish.load();
-      while (prev < end && !finish.compare_exchange_weak(prev, end)) {
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  stats.finish = finish.load();
-  stats.resplit = resplit.load();
-  stats.diverted = diverted.load();
-  stats.stolen = stolen.load();
-  return stats;
+        stolen.fetch_add((*tgt)->stolen_segments());
+        const SimTime end =
+            std::max((*src)->clock().now(), (*tgt)->clock().now());
+        SimTime prev = finish.load();
+        while (prev < end && !finish.compare_exchange_weak(prev, end)) {
+        }
+      });
+    }
+    actors.Join();
+    stats.finish = finish.load();
+    stats.resplit = resplit.load();
+    stats.diverted = diverted.load();
+    stats.stolen = stolen.load();
+    return stats;
+  });
 }
 
 std::vector<std::vector<JoinTuple>> ZipfRelations(const SweepConfig& cfg,

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util/table_printer.h"

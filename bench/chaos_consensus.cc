@@ -36,11 +36,8 @@ void Run() {
     // Fail-stop the term-1 leader's node (replica 0) at `crash_at`.
     fabric.fault_plan().CrashNode(*fabric.ResolveAddress(addrs[0]), crash_at);
     DfiRuntime dfi(&fabric);
-    StatusOr<ConsensusResult> r = Status::Internal("not run");
-    exec::Engine engine({.workers = 1});
-    engine.Spawn(0, "chaos-root",
-                 [&] { r = consensus::RunMultiPaxos(&dfi, addrs, cfg); });
-    engine.Run();
+    StatusOr<ConsensusResult> r = exec::RunOnEngine(
+        [&] { return consensus::RunMultiPaxos(&dfi, addrs, cfg); });
     DFI_CHECK(r.ok()) << r.status();
     DFI_CHECK_EQ(r->completed, static_cast<uint64_t>(cfg.num_clients) *
                                    cfg.requests_per_client);

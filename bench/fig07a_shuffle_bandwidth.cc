@@ -13,50 +13,52 @@ namespace {
 constexpr uint64_t kBytesPerSource = 64 * kMiB;
 
 SimTime RunCell(uint32_t tuple_size, uint32_t num_sources) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, 9);  // node 0 sends, nodes 1..8 receive
-  DfiRuntime dfi(&fabric);
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, 9);  // node 0 sends, nodes 1..8 receive
+    DfiRuntime dfi(&fabric);
 
-  ShuffleFlowSpec spec;
-  spec.name = "bw";
-  for (uint32_t s = 0; s < num_sources; ++s) {
-    spec.sources.Append(Endpoint{addrs[0], s});
-  }
-  for (uint32_t t = 0; t < 8; ++t) {
-    spec.targets.Append(Endpoint{addrs[1 + t], 0});
-  }
-  spec.schema = PaddedSchema(tuple_size);
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
+    ShuffleFlowSpec spec;
+    spec.name = "bw";
+    for (uint32_t s = 0; s < num_sources; ++s) {
+      spec.sources.Append(Endpoint{addrs[0], s});
+    }
+    for (uint32_t t = 0; t < 8; ++t) {
+      spec.targets.Append(Endpoint{addrs[1 + t], 0});
+    }
+    spec.schema = PaddedSchema(tuple_size);
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  const uint64_t tuples_per_source = kBytesPerSource / tuple_size;
-  std::atomic<SimTime> finish{0};
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < num_sources; ++s) {
-    threads.emplace_back([&, s] {
-      auto src = dfi.CreateShuffleSource("bw", s);
-      std::vector<uint8_t> buf(tuple_size, 0);
-      for (uint64_t i = 0; i < tuples_per_source; ++i) {
-        TupleWriter(buf.data(), &(*src)->schema())
-            .Set<uint64_t>(0, s * tuples_per_source + i);
-        DFI_CHECK_OK((*src)->Push(buf.data()));
-      }
-      DFI_CHECK_OK((*src)->Close());
-    });
-  }
-  for (uint32_t t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      auto tgt = dfi.CreateShuffleTarget("bw", t);
-      SegmentView seg;
-      while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
-      }
-      SimTime prev = finish.load();
-      while (prev < (*tgt)->clock().now() &&
-             !finish.compare_exchange_weak(prev, (*tgt)->clock().now())) {
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  return finish.load();
+    const uint64_t tuples_per_source = kBytesPerSource / tuple_size;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < num_sources; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto src = dfi.CreateShuffleSource("bw", s);
+        std::vector<uint8_t> buf(tuple_size, 0);
+        for (uint64_t i = 0; i < tuples_per_source; ++i) {
+          TupleWriter(buf.data(), &(*src)->schema())
+              .Set<uint64_t>(0, s * tuples_per_source + i);
+          DFI_CHECK_OK((*src)->Push(buf.data()));
+        }
+        DFI_CHECK_OK((*src)->Close());
+      });
+    }
+    for (uint32_t t = 0; t < 8; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto tgt = dfi.CreateShuffleTarget("bw", t);
+        SegmentView seg;
+        while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
+        }
+        SimTime prev = finish.load();
+        while (prev < (*tgt)->clock().now() &&
+               !finish.compare_exchange_weak(prev, (*tgt)->clock().now())) {
+        }
+      });
+    }
+    actors.Join();
+    return finish.load();
+  });
 }
 
 void Run() {

@@ -54,65 +54,67 @@ SimTime IbWriteLat(uint32_t size) {
 /// DFI round trip: a request tuple through a latency-optimized 1:N shuffle
 /// flow (round-robin across the N servers), response through an N:1 flow.
 SimTime DfiRoundTrip(uint32_t size, uint32_t num_servers) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, 1 + num_servers);
-  DfiRuntime dfi(&fabric);
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, 1 + num_servers);
+    DfiRuntime dfi(&fabric);
 
-  ShuffleFlowSpec req;
-  req.name = "req";
-  req.sources.Append(Endpoint{addrs[0], 0});
-  for (uint32_t s = 0; s < num_servers; ++s) {
-    req.targets.Append(Endpoint{addrs[1 + s], 0});
-  }
-  req.schema = PaddedSchema(size);
-  req.options.optimization = FlowOptimization::kLatency;
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(req)));
+    ShuffleFlowSpec req;
+    req.name = "req";
+    req.sources.Append(Endpoint{addrs[0], 0});
+    for (uint32_t s = 0; s < num_servers; ++s) {
+      req.targets.Append(Endpoint{addrs[1 + s], 0});
+    }
+    req.schema = PaddedSchema(size);
+    req.options.optimization = FlowOptimization::kLatency;
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(req)));
 
-  ShuffleFlowSpec resp;
-  resp.name = "resp";
-  for (uint32_t s = 0; s < num_servers; ++s) {
-    resp.sources.Append(Endpoint{addrs[1 + s], 0});
-  }
-  resp.targets.Append(Endpoint{addrs[0], 0});
-  resp.schema = PaddedSchema(size);
-  resp.options.optimization = FlowOptimization::kLatency;
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(resp)));
+    ShuffleFlowSpec resp;
+    resp.name = "resp";
+    for (uint32_t s = 0; s < num_servers; ++s) {
+      resp.sources.Append(Endpoint{addrs[1 + s], 0});
+    }
+    resp.targets.Append(Endpoint{addrs[0], 0});
+    resp.schema = PaddedSchema(size);
+    resp.options.optimization = FlowOptimization::kLatency;
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(resp)));
 
-  std::vector<std::thread> servers;
-  for (uint32_t s = 0; s < num_servers; ++s) {
-    servers.emplace_back([&, s] {
-      auto in = dfi.CreateShuffleTarget("req", s);
-      auto out = dfi.CreateShuffleSource("resp", s);
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < num_servers; ++s) {
+      actors.Spawn("worker", [&, s] {
+        auto in = dfi.CreateShuffleTarget("req", s);
+        auto out = dfi.CreateShuffleSource("resp", s);
+        TupleView tuple;
+        while ((*in)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+          (*out)->clock().AdvanceTo((*in)->clock().now());
+          DFI_CHECK_OK((*out)->Push(tuple.data()));
+          (*in)->clock().AdvanceTo((*out)->clock().now());
+        }
+        DFI_CHECK_OK((*out)->Close());
+      });
+    }
+
+    auto src = dfi.CreateShuffleSource("req", 0);
+    auto tgt = dfi.CreateShuffleTarget("resp", 0);
+    std::vector<uint8_t> buf(size, 0);
+    LatencyRecorder rtt;
+    for (int i = 0; i < kRounds; ++i) {
+      const SimTime t0 =
+          std::max((*src)->clock().now(), (*tgt)->clock().now());
+      (*src)->clock().AdvanceTo(t0);
+      TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
+      DFI_CHECK_OK((*src)->PushTo(buf.data(), i % num_servers));
       TupleView tuple;
-      while ((*in)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-        (*out)->clock().AdvanceTo((*in)->clock().now());
-        DFI_CHECK_OK((*out)->Push(tuple.data()));
-        (*in)->clock().AdvanceTo((*out)->clock().now());
-      }
-      DFI_CHECK_OK((*out)->Close());
-    });
-  }
-
-  auto src = dfi.CreateShuffleSource("req", 0);
-  auto tgt = dfi.CreateShuffleTarget("resp", 0);
-  std::vector<uint8_t> buf(size, 0);
-  LatencyRecorder rtt;
-  for (int i = 0; i < kRounds; ++i) {
-    const SimTime t0 =
-        std::max((*src)->clock().now(), (*tgt)->clock().now());
-    (*src)->clock().AdvanceTo(t0);
-    TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
-    DFI_CHECK_OK((*src)->PushTo(buf.data(), i % num_servers));
+      DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
+      rtt.Record((*tgt)->clock().now() - t0);
+    }
+    DFI_CHECK_OK((*src)->Close());
+    actors.Join();
     TupleView tuple;
-    DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
-    rtt.Record((*tgt)->clock().now() - t0);
-  }
-  DFI_CHECK_OK((*src)->Close());
-  for (auto& th : servers) th.join();
-  TupleView tuple;
-  while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-  }
-  return rtt.Median();
+    while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+    }
+    return rtt.Median();
+  });
 }
 
 void Run() {

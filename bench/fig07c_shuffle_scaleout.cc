@@ -14,64 +14,66 @@ constexpr uint32_t kTupleSize = 1024;
 
 double RunCell(uint32_t num_nodes, uint32_t threads_per_node,
                uint64_t bytes_per_source) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, num_nodes);
-  DfiRuntime dfi(&fabric);
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, num_nodes);
+    DfiRuntime dfi(&fabric);
 
-  ShuffleFlowSpec spec;
-  spec.name = "scale";
-  spec.sources = DfiNodes::GridOf(addrs, threads_per_node);
-  spec.targets = DfiNodes::GridOf(addrs, threads_per_node);
-  spec.schema = PaddedSchema(kTupleSize);
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
+    ShuffleFlowSpec spec;
+    spec.name = "scale";
+    spec.sources = DfiNodes::GridOf(addrs, threads_per_node);
+    spec.targets = DfiNodes::GridOf(addrs, threads_per_node);
+    spec.schema = PaddedSchema(kTupleSize);
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  const uint32_t workers = num_nodes * threads_per_node;
-  const uint64_t tuples = bytes_per_source / kTupleSize;
-  std::atomic<SimTime> finish{0};
-  std::vector<std::thread> threads;
-  for (uint32_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      auto src = dfi.CreateShuffleSource("scale", w);
-      auto tgt = dfi.CreateShuffleTarget("scale", w);
-      std::vector<uint8_t> buf(kTupleSize, 0);
-      bool drained = false;
-      auto drain = [&](bool block) {
-        SegmentView seg;
-        ConsumeResult r;
-        if (block) {
-          while (!drained) {
-            if ((*tgt)->ConsumeSegment(&seg) == ConsumeResult::kFlowEnd) {
-              drained = true;
+    const uint32_t workers = num_nodes * threads_per_node;
+    const uint64_t tuples = bytes_per_source / kTupleSize;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    for (uint32_t w = 0; w < workers; ++w) {
+      actors.Spawn("worker", [&, w] {
+        auto src = dfi.CreateShuffleSource("scale", w);
+        auto tgt = dfi.CreateShuffleTarget("scale", w);
+        std::vector<uint8_t> buf(kTupleSize, 0);
+        bool drained = false;
+        auto drain = [&](bool block) {
+          SegmentView seg;
+          ConsumeResult r;
+          if (block) {
+            while (!drained) {
+              if ((*tgt)->ConsumeSegment(&seg) == ConsumeResult::kFlowEnd) {
+                drained = true;
+              }
+            }
+          } else {
+            while (!drained && (*tgt)->TryConsumeSegment(&seg, &r)) {
+              if (r == ConsumeResult::kFlowEnd) {
+                drained = true;
+                break;
+              }
             }
           }
-        } else {
-          while (!drained && (*tgt)->TryConsumeSegment(&seg, &r)) {
-            if (r == ConsumeResult::kFlowEnd) {
-              drained = true;
-              break;
-            }
-          }
+        };
+        for (uint64_t i = 0; i < tuples; ++i) {
+          TupleWriter(buf.data(), &(*src)->schema())
+              .Set<uint64_t>(0, w * tuples + i);
+          DFI_CHECK_OK((*src)->Push(buf.data()));
+          if (i % 128 == 0) drain(false);
         }
-      };
-      for (uint64_t i = 0; i < tuples; ++i) {
-        TupleWriter(buf.data(), &(*src)->schema())
-            .Set<uint64_t>(0, w * tuples + i);
-        DFI_CHECK_OK((*src)->Push(buf.data()));
-        if (i % 128 == 0) drain(false);
-      }
-      DFI_CHECK_OK((*src)->Close());
-      drain(true);
-      const SimTime end =
-          std::max((*src)->clock().now(), (*tgt)->clock().now());
-      SimTime prev = finish.load();
-      while (prev < end && !finish.compare_exchange_weak(prev, end)) {
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const double total_bytes =
-      static_cast<double>(bytes_per_source) * workers;
-  return total_bytes / static_cast<double>(finish.load());  // bytes/ns
+        DFI_CHECK_OK((*src)->Close());
+        drain(true);
+        const SimTime end =
+            std::max((*src)->clock().now(), (*tgt)->clock().now());
+        SimTime prev = finish.load();
+        while (prev < end && !finish.compare_exchange_weak(prev, end)) {
+        }
+      });
+    }
+    actors.Join();
+    const double total_bytes =
+        static_cast<double>(bytes_per_source) * workers;
+    return total_bytes / static_cast<double>(finish.load());  // bytes/ns
+  });
 }
 
 void Run() {

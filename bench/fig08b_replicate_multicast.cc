@@ -14,52 +14,54 @@ namespace {
 constexpr uint64_t kBytesPerSource = 16 * kMiB;
 
 double RunCell(uint32_t tuple_size, uint32_t num_sources) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, 9);
-  DfiRuntime dfi(&fabric);
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, 9);
+    DfiRuntime dfi(&fabric);
 
-  ReplicateFlowSpec spec;
-  spec.name = "mc";
-  for (uint32_t s = 0; s < num_sources; ++s) {
-    spec.sources.Append(Endpoint{addrs[0], s});
-  }
-  for (uint32_t t = 0; t < 8; ++t) {
-    spec.targets.Append(Endpoint{addrs[1 + t], 0});
-  }
-  spec.schema = PaddedSchema(tuple_size);
-  spec.options.use_multicast = true;
-  DFI_CHECK_OK(dfi.InitReplicateFlow(std::move(spec)));
+    ReplicateFlowSpec spec;
+    spec.name = "mc";
+    for (uint32_t s = 0; s < num_sources; ++s) {
+      spec.sources.Append(Endpoint{addrs[0], s});
+    }
+    for (uint32_t t = 0; t < 8; ++t) {
+      spec.targets.Append(Endpoint{addrs[1 + t], 0});
+    }
+    spec.schema = PaddedSchema(tuple_size);
+    spec.options.use_multicast = true;
+    DFI_CHECK_OK(dfi.InitReplicateFlow(std::move(spec)));
 
-  const uint64_t tuples = kBytesPerSource / tuple_size;
-  std::atomic<SimTime> finish{0};
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < num_sources; ++s) {
-    threads.emplace_back([&, s] {
-      auto src = dfi.CreateReplicateSource("mc", s);
-      std::vector<uint8_t> buf(tuple_size, 0);
-      for (uint64_t i = 0; i < tuples; ++i) {
-        TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
-        DFI_CHECK_OK((*src)->Push(buf.data()));
-      }
-      DFI_CHECK_OK((*src)->Close());
-    });
-  }
-  for (uint32_t t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      auto tgt = dfi.CreateReplicateTarget("mc", t);
-      SegmentView seg;
-      while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
-      }
-      SimTime prev = finish.load();
-      while (prev < (*tgt)->clock().now() &&
-             !finish.compare_exchange_weak(prev, (*tgt)->clock().now())) {
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const double delivered =
-      static_cast<double>(kBytesPerSource) * num_sources * 8;
-  return delivered / static_cast<double>(finish.load());
+    const uint64_t tuples = kBytesPerSource / tuple_size;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < num_sources; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto src = dfi.CreateReplicateSource("mc", s);
+        std::vector<uint8_t> buf(tuple_size, 0);
+        for (uint64_t i = 0; i < tuples; ++i) {
+          TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
+          DFI_CHECK_OK((*src)->Push(buf.data()));
+        }
+        DFI_CHECK_OK((*src)->Close());
+      });
+    }
+    for (uint32_t t = 0; t < 8; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto tgt = dfi.CreateReplicateTarget("mc", t);
+        SegmentView seg;
+        while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
+        }
+        SimTime prev = finish.load();
+        while (prev < (*tgt)->clock().now() &&
+               !finish.compare_exchange_weak(prev, (*tgt)->clock().now())) {
+        }
+      });
+    }
+    actors.Join();
+    const double delivered =
+        static_cast<double>(kBytesPerSource) * num_sources * 8;
+    return delivered / static_cast<double>(finish.load());
+  });
 }
 
 void Run() {

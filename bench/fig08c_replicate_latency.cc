@@ -12,70 +12,72 @@ namespace {
 constexpr int kRounds = 300;
 
 SimTime RunCell(uint32_t tuple_size, uint32_t num_targets, bool multicast) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, 1 + num_targets);
-  DfiRuntime dfi(&fabric);
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, 1 + num_targets);
+    DfiRuntime dfi(&fabric);
 
-  ReplicateFlowSpec req;
-  req.name = "req";
-  req.sources.Append(Endpoint{addrs[0], 0});
-  for (uint32_t t = 0; t < num_targets; ++t) {
-    req.targets.Append(Endpoint{addrs[1 + t], 0});
-  }
-  req.schema = PaddedSchema(tuple_size);
-  req.options.optimization = FlowOptimization::kLatency;
-  req.options.use_multicast = multicast;
-  DFI_CHECK_OK(dfi.InitReplicateFlow(std::move(req)));
-
-  ShuffleFlowSpec resp;
-  resp.name = "resp";
-  for (uint32_t t = 0; t < num_targets; ++t) {
-    resp.sources.Append(Endpoint{addrs[1 + t], 0});
-  }
-  resp.targets.Append(Endpoint{addrs[0], 0});
-  resp.schema = Schema{{"seq", DataType::kUInt64}};
-  resp.options.optimization = FlowOptimization::kLatency;
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(resp)));
-
-  std::vector<std::thread> servers;
-  for (uint32_t t = 0; t < num_targets; ++t) {
-    servers.emplace_back([&, t] {
-      auto in = dfi.CreateReplicateTarget("req", t);
-      auto out = dfi.CreateShuffleSource("resp", t);
-      TupleView tuple;
-      while ((*in)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-        (*out)->clock().AdvanceTo((*in)->clock().now());
-        const uint64_t seq = tuple.Get<uint64_t>(0);
-        DFI_CHECK_OK((*out)->Push(&seq));
-        (*in)->clock().AdvanceTo((*out)->clock().now());
-      }
-      DFI_CHECK_OK((*out)->Close());
-    });
-  }
-
-  auto src = dfi.CreateReplicateSource("req", 0);
-  auto tgt = dfi.CreateShuffleTarget("resp", 0);
-  std::vector<uint8_t> buf(tuple_size, 0);
-  LatencyRecorder rtt;
-  for (int i = 0; i < kRounds; ++i) {
-    const SimTime t0 =
-        std::max((*src)->clock().now(), (*tgt)->clock().now());
-    (*src)->clock().AdvanceTo(t0);
-    (*tgt)->clock().AdvanceTo(t0);
-    TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
-    DFI_CHECK_OK((*src)->Push(buf.data()));
-    for (uint32_t r = 0; r < num_targets; ++r) {
-      TupleView tuple;
-      DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
+    ReplicateFlowSpec req;
+    req.name = "req";
+    req.sources.Append(Endpoint{addrs[0], 0});
+    for (uint32_t t = 0; t < num_targets; ++t) {
+      req.targets.Append(Endpoint{addrs[1 + t], 0});
     }
-    rtt.Record((*tgt)->clock().now() - t0);
-  }
-  DFI_CHECK_OK((*src)->Close());
-  for (auto& th : servers) th.join();
-  TupleView tuple;
-  while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-  }
-  return rtt.Median();
+    req.schema = PaddedSchema(tuple_size);
+    req.options.optimization = FlowOptimization::kLatency;
+    req.options.use_multicast = multicast;
+    DFI_CHECK_OK(dfi.InitReplicateFlow(std::move(req)));
+
+    ShuffleFlowSpec resp;
+    resp.name = "resp";
+    for (uint32_t t = 0; t < num_targets; ++t) {
+      resp.sources.Append(Endpoint{addrs[1 + t], 0});
+    }
+    resp.targets.Append(Endpoint{addrs[0], 0});
+    resp.schema = Schema{{"seq", DataType::kUInt64}};
+    resp.options.optimization = FlowOptimization::kLatency;
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(resp)));
+
+    exec::ActorGroup actors;
+    for (uint32_t t = 0; t < num_targets; ++t) {
+      actors.Spawn("worker", [&, t] {
+        auto in = dfi.CreateReplicateTarget("req", t);
+        auto out = dfi.CreateShuffleSource("resp", t);
+        TupleView tuple;
+        while ((*in)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+          (*out)->clock().AdvanceTo((*in)->clock().now());
+          const uint64_t seq = tuple.Get<uint64_t>(0);
+          DFI_CHECK_OK((*out)->Push(&seq));
+          (*in)->clock().AdvanceTo((*out)->clock().now());
+        }
+        DFI_CHECK_OK((*out)->Close());
+      });
+    }
+
+    auto src = dfi.CreateReplicateSource("req", 0);
+    auto tgt = dfi.CreateShuffleTarget("resp", 0);
+    std::vector<uint8_t> buf(tuple_size, 0);
+    LatencyRecorder rtt;
+    for (int i = 0; i < kRounds; ++i) {
+      const SimTime t0 =
+          std::max((*src)->clock().now(), (*tgt)->clock().now());
+      (*src)->clock().AdvanceTo(t0);
+      (*tgt)->clock().AdvanceTo(t0);
+      TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
+      DFI_CHECK_OK((*src)->Push(buf.data()));
+      for (uint32_t r = 0; r < num_targets; ++r) {
+        TupleView tuple;
+        DFI_CHECK((*tgt)->Consume(&tuple) == ConsumeResult::kOk);
+      }
+      rtt.Record((*tgt)->clock().now() - t0);
+    }
+    DFI_CHECK_OK((*src)->Close());
+    actors.Join();
+    TupleView tuple;
+    while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+    }
+    return rtt.Median();
+  });
 }
 
 void Run() {

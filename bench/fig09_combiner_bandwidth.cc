@@ -24,54 +24,56 @@ Schema CombinerSchema(uint32_t tuple_size) {
 }
 
 double RunCell(uint32_t tuple_size, uint32_t target_threads) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, 9);  // node 0 receives, 1..8 send
-  DfiRuntime dfi(&fabric);
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, 9);  // node 0 receives, 1..8 send
+    DfiRuntime dfi(&fabric);
 
-  CombinerFlowSpec spec;
-  spec.name = "agg";
-  for (uint32_t s = 0; s < 8; ++s) {
-    spec.sources.Append(Endpoint{addrs[1 + s], 0});
-  }
-  for (uint32_t t = 0; t < target_threads; ++t) {
-    spec.targets.Append(Endpoint{addrs[0], t});
-  }
-  spec.schema = CombinerSchema(tuple_size);
-  spec.group_by_index = 0;
-  spec.aggregates = {{AggFunc::kSum, 1}};
-  DFI_CHECK_OK(dfi.InitCombinerFlow(std::move(spec)));
+    CombinerFlowSpec spec;
+    spec.name = "agg";
+    for (uint32_t s = 0; s < 8; ++s) {
+      spec.sources.Append(Endpoint{addrs[1 + s], 0});
+    }
+    for (uint32_t t = 0; t < target_threads; ++t) {
+      spec.targets.Append(Endpoint{addrs[0], t});
+    }
+    spec.schema = CombinerSchema(tuple_size);
+    spec.group_by_index = 0;
+    spec.aggregates = {{AggFunc::kSum, 1}};
+    DFI_CHECK_OK(dfi.InitCombinerFlow(std::move(spec)));
 
-  const uint64_t tuples = kBytesPerSource / tuple_size;
-  std::atomic<SimTime> finish{0};
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < 8; ++s) {
-    threads.emplace_back([&, s] {
-      auto src = dfi.CreateCombinerSource("agg", s);
-      std::vector<uint8_t> buf(tuple_size, 0);
-      for (uint64_t i = 0; i < tuples; ++i) {
-        TupleWriter(buf.data(), &(*src)->schema())
-            .Set<uint64_t>(0, (s * tuples + i) % kGroups)
-            .Set<int64_t>(1, static_cast<int64_t>(i));
-        DFI_CHECK_OK((*src)->Push(buf.data()));
-      }
-      DFI_CHECK_OK((*src)->Close());
-    });
-  }
-  for (uint32_t t = 0; t < target_threads; ++t) {
-    threads.emplace_back([&, t] {
-      auto tgt = dfi.CreateCombinerTarget("agg", t);
-      AggRow row;
-      while ((*tgt)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
-      }
-      SimTime prev = finish.load();
-      while (prev < (*tgt)->clock().now() &&
-             !finish.compare_exchange_weak(prev, (*tgt)->clock().now())) {
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const double total = static_cast<double>(kBytesPerSource) * 8;
-  return total / static_cast<double>(finish.load());
+    const uint64_t tuples = kBytesPerSource / tuple_size;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < 8; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto src = dfi.CreateCombinerSource("agg", s);
+        std::vector<uint8_t> buf(tuple_size, 0);
+        for (uint64_t i = 0; i < tuples; ++i) {
+          TupleWriter(buf.data(), &(*src)->schema())
+              .Set<uint64_t>(0, (s * tuples + i) % kGroups)
+              .Set<int64_t>(1, static_cast<int64_t>(i));
+          DFI_CHECK_OK((*src)->Push(buf.data()));
+        }
+        DFI_CHECK_OK((*src)->Close());
+      });
+    }
+    for (uint32_t t = 0; t < target_threads; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto tgt = dfi.CreateCombinerTarget("agg", t);
+        AggRow row;
+        while ((*tgt)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
+        }
+        SimTime prev = finish.load();
+        while (prev < (*tgt)->clock().now() &&
+               !finish.compare_exchange_weak(prev, (*tgt)->clock().now())) {
+        }
+      });
+    }
+    actors.Join();
+    const double total = static_cast<double>(kBytesPerSource) * 8;
+    return total / static_cast<double>(finish.load());
+  });
 }
 
 void Run() {

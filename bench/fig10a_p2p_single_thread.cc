@@ -16,57 +16,63 @@ namespace {
 constexpr uint64_t kTableBytes = 32 * kMiB;
 
 SimTime RunDfi(uint32_t tuple_size, FlowOptimization opt) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, 2);
-  DfiRuntime dfi(&fabric);
-  ShuffleFlowSpec spec;
-  spec.name = "p2p";
-  spec.sources.Append(Endpoint{addrs[0], 0});
-  spec.targets.Append(Endpoint{addrs[1], 0});
-  spec.schema = PaddedSchema(tuple_size);
-  spec.options.optimization = opt;
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, 2);
+    DfiRuntime dfi(&fabric);
+    ShuffleFlowSpec spec;
+    spec.name = "p2p";
+    spec.sources.Append(Endpoint{addrs[0], 0});
+    spec.targets.Append(Endpoint{addrs[1], 0});
+    spec.schema = PaddedSchema(tuple_size);
+    spec.options.optimization = opt;
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  const uint64_t tuples = kTableBytes / tuple_size;
-  std::atomic<SimTime> finish{0};
-  std::thread producer([&] {
-    auto src = dfi.CreateShuffleSource("p2p", 0);
-    std::vector<uint8_t> buf(tuple_size, 0);
-    for (uint64_t i = 0; i < tuples; ++i) {
-      TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
-      DFI_CHECK_OK((*src)->Push(buf.data()));
+    const uint64_t tuples = kTableBytes / tuple_size;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    actors.Spawn("source", [&] {
+      auto src = dfi.CreateShuffleSource("p2p", 0);
+      std::vector<uint8_t> buf(tuple_size, 0);
+      for (uint64_t i = 0; i < tuples; ++i) {
+        TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
+        DFI_CHECK_OK((*src)->Push(buf.data()));
+      }
+      DFI_CHECK_OK((*src)->Close());
+    });
+    auto tgt = dfi.CreateShuffleTarget("p2p", 0);
+    SegmentView seg;
+    while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
     }
-    DFI_CHECK_OK((*src)->Close());
+    actors.Join();
+    return (*tgt)->clock().now();
   });
-  auto tgt = dfi.CreateShuffleTarget("p2p", 0);
-  SegmentView seg;
-  while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
-  }
-  producer.join();
-  return (*tgt)->clock().now();
 }
 
 SimTime RunMpi(uint32_t tuple_size) {
-  net::Fabric fabric;
-  auto nodes = fabric.AddNodes(2);
-  mpi::MpiEnv env(&fabric, nodes);
-  const uint64_t tuples = kTableBytes / tuple_size;
-  SimTime finish = 0;
-  std::thread sender([&] {
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto nodes = fabric.AddNodes(2);
+    mpi::MpiEnv env(&fabric, nodes);
+    const uint64_t tuples = kTableBytes / tuple_size;
+    SimTime finish = 0;
+    exec::ActorGroup actors;
+    actors.Spawn("sender", [&] {
+      VirtualClock clock;
+      std::vector<uint8_t> buf(tuple_size, 0);
+      for (uint64_t i = 0; i < tuples; ++i) {
+        DFI_CHECK_OK(env.Send(0, 1, 0, buf.data(), tuple_size, &clock));
+      }
+    });
     VirtualClock clock;
     std::vector<uint8_t> buf(tuple_size, 0);
     for (uint64_t i = 0; i < tuples; ++i) {
-      DFI_CHECK_OK(env.Send(0, 1, 0, buf.data(), tuple_size, &clock));
+      DFI_CHECK_OK(env.Recv(1, 0, 0, buf.data(), tuple_size, &clock));
     }
+    actors.Join();
+    finish = clock.now();
+    return finish;
   });
-  VirtualClock clock;
-  std::vector<uint8_t> buf(tuple_size, 0);
-  for (uint64_t i = 0; i < tuples; ++i) {
-    DFI_CHECK_OK(env.Recv(1, 0, 0, buf.data(), tuple_size, &clock));
-  }
-  sender.join();
-  finish = clock.now();
-  return finish;
 }
 
 void Run() {

@@ -16,120 +16,126 @@ constexpr uint32_t kTupleSize = 64;
 constexpr uint64_t kTableBytes = 16 * kMiB;
 
 SimTime RunDfi(uint32_t threads_count) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, 2);
-  DfiRuntime dfi(&fabric);
-  ShuffleFlowSpec spec;
-  spec.name = "p2p";
-  for (uint32_t s = 0; s < threads_count; ++s) {
-    spec.sources.Append(Endpoint{addrs[0], s});
-    spec.targets.Append(Endpoint{addrs[1], s});
-  }
-  spec.schema = PaddedSchema(kTupleSize);
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, 2);
+    DfiRuntime dfi(&fabric);
+    ShuffleFlowSpec spec;
+    spec.name = "p2p";
+    for (uint32_t s = 0; s < threads_count; ++s) {
+      spec.sources.Append(Endpoint{addrs[0], s});
+      spec.targets.Append(Endpoint{addrs[1], s});
+    }
+    spec.schema = PaddedSchema(kTupleSize);
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  const uint64_t tuples = kTableBytes / kTupleSize / threads_count;
-  std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
-  for (uint32_t s = 0; s < threads_count; ++s) {
-    workers.emplace_back([&, s] {
-      auto src = dfi.CreateShuffleSource("p2p", s);
-      std::vector<uint8_t> buf(kTupleSize, 0);
-      for (uint64_t i = 0; i < tuples; ++i) {
-        TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
-        DFI_CHECK_OK((*src)->PushTo(buf.data(), s));
-      }
-      DFI_CHECK_OK((*src)->Close());
-    });
-    workers.emplace_back([&, s] {
-      auto tgt = dfi.CreateShuffleTarget("p2p", s);
-      SegmentView seg;
-      while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
-      }
-      SimTime prev = finish.load();
-      while (prev < (*tgt)->clock().now() &&
-             !finish.compare_exchange_weak(prev, (*tgt)->clock().now())) {
-      }
-    });
-  }
-  for (auto& th : workers) th.join();
-  return finish.load();
+    const uint64_t tuples = kTableBytes / kTupleSize / threads_count;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < threads_count; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto src = dfi.CreateShuffleSource("p2p", s);
+        std::vector<uint8_t> buf(kTupleSize, 0);
+        for (uint64_t i = 0; i < tuples; ++i) {
+          TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i);
+          DFI_CHECK_OK((*src)->PushTo(buf.data(), s));
+        }
+        DFI_CHECK_OK((*src)->Close());
+      });
+      actors.Spawn("target", [&, s] {
+        auto tgt = dfi.CreateShuffleTarget("p2p", s);
+        SegmentView seg;
+        while ((*tgt)->ConsumeSegment(&seg) != ConsumeResult::kFlowEnd) {
+        }
+        SimTime prev = finish.load();
+        while (prev < (*tgt)->clock().now() &&
+               !finish.compare_exchange_weak(prev, (*tgt)->clock().now())) {
+        }
+      });
+    }
+    actors.Join();
+    return finish.load();
+  });
 }
 
 /// MPI_THREAD_MULTIPLE: one rank per node, `threads_count` threads calling
 /// MPI concurrently through the per-rank latch.
 SimTime RunMpiMultiThreaded(uint32_t threads_count) {
-  net::Fabric fabric;
-  auto nodes = fabric.AddNodes(2);
-  mpi::MpiEnv env(&fabric, nodes, mpi::ThreadMode::kMultiple, threads_count);
-  const uint64_t tuples = kTableBytes / kTupleSize / threads_count;
-  std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
-  for (uint32_t t = 0; t < threads_count; ++t) {
-    workers.emplace_back([&, t] {
-      VirtualClock clock;
-      std::vector<uint8_t> buf(kTupleSize, 0);
-      for (uint64_t i = 0; i < tuples; ++i) {
-        DFI_CHECK_OK(
-            env.Send(0, 1, static_cast<int>(t), buf.data(), kTupleSize,
-                     &clock));
-      }
-    });
-    workers.emplace_back([&, t] {
-      VirtualClock clock;
-      std::vector<uint8_t> buf(kTupleSize, 0);
-      for (uint64_t i = 0; i < tuples; ++i) {
-        DFI_CHECK_OK(env.Recv(1, 0, static_cast<int>(t), buf.data(),
-                              kTupleSize, &clock));
-      }
-      SimTime prev = finish.load();
-      while (prev < clock.now() &&
-             !finish.compare_exchange_weak(prev, clock.now())) {
-      }
-    });
-  }
-  for (auto& th : workers) th.join();
-  return finish.load();
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto nodes = fabric.AddNodes(2);
+    mpi::MpiEnv env(&fabric, nodes, mpi::ThreadMode::kMultiple, threads_count);
+    const uint64_t tuples = kTableBytes / kTupleSize / threads_count;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    for (uint32_t t = 0; t < threads_count; ++t) {
+      actors.Spawn("worker", [&, t] {
+        VirtualClock clock;
+        std::vector<uint8_t> buf(kTupleSize, 0);
+        for (uint64_t i = 0; i < tuples; ++i) {
+          DFI_CHECK_OK(
+              env.Send(0, 1, static_cast<int>(t), buf.data(), kTupleSize,
+                       &clock));
+        }
+      });
+      actors.Spawn("worker", [&, t] {
+        VirtualClock clock;
+        std::vector<uint8_t> buf(kTupleSize, 0);
+        for (uint64_t i = 0; i < tuples; ++i) {
+          DFI_CHECK_OK(env.Recv(1, 0, static_cast<int>(t), buf.data(),
+                                kTupleSize, &clock));
+        }
+        SimTime prev = finish.load();
+        while (prev < clock.now() &&
+               !finish.compare_exchange_weak(prev, clock.now())) {
+        }
+      });
+    }
+    actors.Join();
+    return finish.load();
+  });
 }
 
 /// MPI multi-process: `procs` single-threaded ranks per node (uncontended
 /// latches, but shared-memory cost for co-located processes).
 SimTime RunMpiMultiProcess(uint32_t procs) {
-  net::Fabric fabric;
-  auto base = fabric.AddNodes(2);
-  std::vector<net::NodeId> ranks;
-  for (uint32_t p = 0; p < procs; ++p) ranks.push_back(base[0]);
-  for (uint32_t p = 0; p < procs; ++p) ranks.push_back(base[1]);
-  mpi::MpiEnv env(&fabric, ranks, mpi::ThreadMode::kSingle);
-  const uint64_t tuples = kTableBytes / kTupleSize / procs;
-  std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
-  for (uint32_t p = 0; p < procs; ++p) {
-    workers.emplace_back([&, p] {
-      VirtualClock clock;
-      std::vector<uint8_t> buf(kTupleSize, 0);
-      for (uint64_t i = 0; i < tuples; ++i) {
-        DFI_CHECK_OK(env.Send(static_cast<int>(p),
-                              static_cast<int>(procs + p), 0, buf.data(),
-                              kTupleSize, &clock));
-      }
-    });
-    workers.emplace_back([&, p] {
-      VirtualClock clock;
-      std::vector<uint8_t> buf(kTupleSize, 0);
-      for (uint64_t i = 0; i < tuples; ++i) {
-        DFI_CHECK_OK(env.Recv(static_cast<int>(procs + p),
-                              static_cast<int>(p), 0, buf.data(), kTupleSize,
-                              &clock));
-      }
-      SimTime prev = finish.load();
-      while (prev < clock.now() &&
-             !finish.compare_exchange_weak(prev, clock.now())) {
-      }
-    });
-  }
-  for (auto& th : workers) th.join();
-  return finish.load();
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto base = fabric.AddNodes(2);
+    std::vector<net::NodeId> ranks;
+    for (uint32_t p = 0; p < procs; ++p) ranks.push_back(base[0]);
+    for (uint32_t p = 0; p < procs; ++p) ranks.push_back(base[1]);
+    mpi::MpiEnv env(&fabric, ranks, mpi::ThreadMode::kSingle);
+    const uint64_t tuples = kTableBytes / kTupleSize / procs;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    for (uint32_t p = 0; p < procs; ++p) {
+      actors.Spawn("worker", [&, p] {
+        VirtualClock clock;
+        std::vector<uint8_t> buf(kTupleSize, 0);
+        for (uint64_t i = 0; i < tuples; ++i) {
+          DFI_CHECK_OK(env.Send(static_cast<int>(p),
+                                static_cast<int>(procs + p), 0, buf.data(),
+                                kTupleSize, &clock));
+        }
+      });
+      actors.Spawn("worker", [&, p] {
+        VirtualClock clock;
+        std::vector<uint8_t> buf(kTupleSize, 0);
+        for (uint64_t i = 0; i < tuples; ++i) {
+          DFI_CHECK_OK(env.Recv(static_cast<int>(procs + p),
+                                static_cast<int>(p), 0, buf.data(), kTupleSize,
+                                &clock));
+        }
+        SimTime prev = finish.load();
+        while (prev < clock.now() &&
+               !finish.compare_exchange_weak(prev, clock.now())) {
+        }
+      });
+    }
+    actors.Join();
+    return finish.load();
+  });
 }
 
 void Run() {

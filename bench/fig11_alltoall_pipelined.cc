@@ -17,89 +17,93 @@ constexpr uint32_t kNodes = 8;
 constexpr uint64_t kTableBytesPerNode = 4 * kMiB;
 
 SimTime RunDfi(uint32_t tuple_size) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, kNodes);
-  DfiRuntime dfi(&fabric);
-  ShuffleFlowSpec spec;
-  spec.name = "a2a";
-  spec.sources = DfiNodes::GridOf(addrs, 1);
-  spec.targets = DfiNodes::GridOf(addrs, 1);
-  spec.schema = PaddedSchema(tuple_size);
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, kNodes);
+    DfiRuntime dfi(&fabric);
+    ShuffleFlowSpec spec;
+    spec.name = "a2a";
+    spec.sources = DfiNodes::GridOf(addrs, 1);
+    spec.targets = DfiNodes::GridOf(addrs, 1);
+    spec.schema = PaddedSchema(tuple_size);
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  const uint64_t tuples = kTableBytesPerNode / tuple_size;
-  std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
-  for (uint32_t w = 0; w < kNodes; ++w) {
-    workers.emplace_back([&, w] {
-      auto src = dfi.CreateShuffleSource("a2a", w);
-      auto tgt = dfi.CreateShuffleTarget("a2a", w);
-      std::vector<uint8_t> buf(tuple_size, 0);
-      bool drained = false;
-      for (uint64_t i = 0; i < tuples; ++i) {
-        TupleWriter(buf.data(), &(*src)->schema())
-            .Set<uint64_t>(0, w * tuples + i);
-        DFI_CHECK_OK((*src)->Push(buf.data()));
-        if (i % 64 == 0) {
-          SegmentView seg;
-          ConsumeResult r;
-          while (!drained && (*tgt)->TryConsumeSegment(&seg, &r)) {
-            if (r == ConsumeResult::kFlowEnd) {
-              drained = true;
-              break;
+    const uint64_t tuples = kTableBytesPerNode / tuple_size;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    for (uint32_t w = 0; w < kNodes; ++w) {
+      actors.Spawn("worker", [&, w] {
+        auto src = dfi.CreateShuffleSource("a2a", w);
+        auto tgt = dfi.CreateShuffleTarget("a2a", w);
+        std::vector<uint8_t> buf(tuple_size, 0);
+        bool drained = false;
+        for (uint64_t i = 0; i < tuples; ++i) {
+          TupleWriter(buf.data(), &(*src)->schema())
+              .Set<uint64_t>(0, w * tuples + i);
+          DFI_CHECK_OK((*src)->Push(buf.data()));
+          if (i % 64 == 0) {
+            SegmentView seg;
+            ConsumeResult r;
+            while (!drained && (*tgt)->TryConsumeSegment(&seg, &r)) {
+              if (r == ConsumeResult::kFlowEnd) {
+                drained = true;
+                break;
+              }
             }
           }
         }
-      }
-      DFI_CHECK_OK((*src)->Close());
-      SegmentView seg;
-      while (!drained) {
-        if ((*tgt)->ConsumeSegment(&seg) == ConsumeResult::kFlowEnd) {
-          drained = true;
+        DFI_CHECK_OK((*src)->Close());
+        SegmentView seg;
+        while (!drained) {
+          if ((*tgt)->ConsumeSegment(&seg) == ConsumeResult::kFlowEnd) {
+            drained = true;
+          }
         }
-      }
-      const SimTime end =
-          std::max((*src)->clock().now(), (*tgt)->clock().now());
-      SimTime prev = finish.load();
-      while (prev < end && !finish.compare_exchange_weak(prev, end)) {
-      }
-    });
-  }
-  for (auto& th : workers) th.join();
-  return finish.load();
+        const SimTime end =
+            std::max((*src)->clock().now(), (*tgt)->clock().now());
+        SimTime prev = finish.load();
+        while (prev < end && !finish.compare_exchange_weak(prev, end)) {
+        }
+      });
+    }
+    actors.Join();
+    return finish.load();
+  });
 }
 
 SimTime RunMpi(uint32_t tuple_size) {
-  net::Fabric fabric;
-  auto nodes = fabric.AddNodes(kNodes);
-  mpi::MpiEnv env(&fabric, nodes);
-  // Mini-batches of 8 tuples: on average one tuple per target per round
-  // (the "streaming-based" use of the collective from the paper).
-  const uint64_t tuples = kTableBytesPerNode / tuple_size;
-  const uint64_t rounds = tuples / kNodes;
-  std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
-  for (uint32_t r = 0; r < kNodes; ++r) {
-    workers.emplace_back([&, r] {
-      VirtualClock clock;
-      std::vector<uint8_t> send(kNodes * tuple_size, 0);
-      std::vector<uint8_t> recv(kNodes * tuple_size, 0);
-      for (uint64_t i = 0; i < rounds; ++i) {
-        // Local pre-shuffle of the mini-batch into per-target slots.
-        clock.Advance(static_cast<SimTime>(
-            kNodes * (fabric.config().tuple_push_fixed_ns +
-                      tuple_size * fabric.config().tuple_copy_ns_per_byte)));
-        DFI_CHECK_OK(env.Alltoall(static_cast<int>(r), send.data(),
-                                  recv.data(), tuple_size, &clock));
-      }
-      SimTime prev = finish.load();
-      while (prev < clock.now() &&
-             !finish.compare_exchange_weak(prev, clock.now())) {
-      }
-    });
-  }
-  for (auto& th : workers) th.join();
-  return finish.load();
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto nodes = fabric.AddNodes(kNodes);
+    mpi::MpiEnv env(&fabric, nodes);
+    // Mini-batches of 8 tuples: on average one tuple per target per round
+    // (the "streaming-based" use of the collective from the paper).
+    const uint64_t tuples = kTableBytesPerNode / tuple_size;
+    const uint64_t rounds = tuples / kNodes;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    for (uint32_t r = 0; r < kNodes; ++r) {
+      actors.Spawn("worker", [&, r] {
+        VirtualClock clock;
+        std::vector<uint8_t> send(kNodes * tuple_size, 0);
+        std::vector<uint8_t> recv(kNodes * tuple_size, 0);
+        for (uint64_t i = 0; i < rounds; ++i) {
+          // Local pre-shuffle of the mini-batch into per-target slots.
+          clock.Advance(static_cast<SimTime>(
+              kNodes * (fabric.config().tuple_push_fixed_ns +
+                        tuple_size * fabric.config().tuple_copy_ns_per_byte)));
+          DFI_CHECK_OK(env.Alltoall(static_cast<int>(r), send.data(),
+                                    recv.data(), tuple_size, &clock));
+        }
+        SimTime prev = finish.load();
+        while (prev < clock.now() &&
+               !finish.compare_exchange_weak(prev, clock.now())) {
+        }
+      });
+    }
+    actors.Join();
+    return finish.load();
+  });
 }
 
 void Run() {

@@ -19,97 +19,101 @@ constexpr uint32_t kNodes = 8;
 constexpr uint32_t kTupleSize = 64;
 
 SimTime RunDfi(uint64_t table_bytes, double straggle) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, kNodes);
-  DfiRuntime dfi(&fabric);
-  ShuffleFlowSpec spec;
-  spec.name = "st";
-  spec.sources = DfiNodes::GridOf(addrs, 1);
-  spec.targets = DfiNodes::GridOf(addrs, 1);
-  spec.schema = PaddedSchema(kTupleSize);
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, kNodes);
+    DfiRuntime dfi(&fabric);
+    ShuffleFlowSpec spec;
+    spec.name = "st";
+    spec.sources = DfiNodes::GridOf(addrs, 1);
+    spec.targets = DfiNodes::GridOf(addrs, 1);
+    spec.schema = PaddedSchema(kTupleSize);
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  const uint64_t tuples = table_bytes / kNodes / kTupleSize;
-  // Per-tuple compute cost of producing a tuple; the straggler (worker 0)
-  // pays 1/s times more (CPU frequency scaled by s).
-  const SimTime base_cost = 20;
-  std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
-  for (uint32_t w = 0; w < kNodes; ++w) {
-    workers.emplace_back([&, w] {
-      const SimTime cost =
-          w == 0 ? static_cast<SimTime>(base_cost / straggle) : base_cost;
-      auto src = dfi.CreateShuffleSource("st", w);
-      auto tgt = dfi.CreateShuffleTarget("st", w);
-      std::vector<uint8_t> buf(kTupleSize, 0);
-      bool drained = false;
-      for (uint64_t i = 0; i < tuples; ++i) {
-        (*src)->clock().Advance(cost);  // compute producing the tuple
-        TupleWriter(buf.data(), &(*src)->schema())
-            .Set<uint64_t>(0, w * tuples + i);
-        DFI_CHECK_OK((*src)->Push(buf.data()));
-        if (i % 64 == 0) {
-          SegmentView seg;
-          ConsumeResult r;
-          while (!drained && (*tgt)->TryConsumeSegment(&seg, &r)) {
-            if (r == ConsumeResult::kFlowEnd) {
-              drained = true;
-              break;
+    const uint64_t tuples = table_bytes / kNodes / kTupleSize;
+    // Per-tuple compute cost of producing a tuple; the straggler (worker 0)
+    // pays 1/s times more (CPU frequency scaled by s).
+    const SimTime base_cost = 20;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    for (uint32_t w = 0; w < kNodes; ++w) {
+      actors.Spawn("worker", [&, w] {
+        const SimTime cost =
+            w == 0 ? static_cast<SimTime>(base_cost / straggle) : base_cost;
+        auto src = dfi.CreateShuffleSource("st", w);
+        auto tgt = dfi.CreateShuffleTarget("st", w);
+        std::vector<uint8_t> buf(kTupleSize, 0);
+        bool drained = false;
+        for (uint64_t i = 0; i < tuples; ++i) {
+          (*src)->clock().Advance(cost);  // compute producing the tuple
+          TupleWriter(buf.data(), &(*src)->schema())
+              .Set<uint64_t>(0, w * tuples + i);
+          DFI_CHECK_OK((*src)->Push(buf.data()));
+          if (i % 64 == 0) {
+            SegmentView seg;
+            ConsumeResult r;
+            while (!drained && (*tgt)->TryConsumeSegment(&seg, &r)) {
+              if (r == ConsumeResult::kFlowEnd) {
+                drained = true;
+                break;
+              }
             }
           }
         }
-      }
-      DFI_CHECK_OK((*src)->Close());
-      SegmentView seg;
-      while (!drained) {
-        if ((*tgt)->ConsumeSegment(&seg) == ConsumeResult::kFlowEnd) {
-          drained = true;
+        DFI_CHECK_OK((*src)->Close());
+        SegmentView seg;
+        while (!drained) {
+          if ((*tgt)->ConsumeSegment(&seg) == ConsumeResult::kFlowEnd) {
+            drained = true;
+          }
         }
-      }
-      const SimTime end =
-          std::max((*src)->clock().now(), (*tgt)->clock().now());
-      SimTime prev = finish.load();
-      while (prev < end && !finish.compare_exchange_weak(prev, end)) {
-      }
-    });
-  }
-  for (auto& th : workers) th.join();
-  return finish.load();
+        const SimTime end =
+            std::max((*src)->clock().now(), (*tgt)->clock().now());
+        SimTime prev = finish.load();
+        while (prev < end && !finish.compare_exchange_weak(prev, end)) {
+        }
+      });
+    }
+    actors.Join();
+    return finish.load();
+  });
 }
 
 SimTime RunMpi(uint64_t table_bytes, double straggle) {
-  net::Fabric fabric;
-  auto nodes = fabric.AddNodes(kNodes);
-  mpi::MpiEnv env(&fabric, nodes);
-  const uint64_t tuples = table_bytes / kNodes / kTupleSize;
-  const SimTime base_cost = 20;
-  std::atomic<SimTime> finish{0};
-  std::vector<std::thread> workers;
-  for (uint32_t r = 0; r < kNodes; ++r) {
-    workers.emplace_back([&, r] {
-      const SimTime cost =
-          r == 0 ? static_cast<SimTime>(base_cost / straggle) : base_cost;
-      VirtualClock clock;
-      // Batched variant: pre-shuffle the whole local table, then one big
-      // Alltoall for the complete batch (paper section 6.2.2).
-      const net::SimConfig& cfg = fabric.config();
-      clock.Advance(static_cast<SimTime>(tuples) *
-                    (cost + cfg.tuple_push_fixed_ns +
-                     static_cast<SimTime>(kTupleSize *
-                                          cfg.tuple_copy_ns_per_byte)));
-      const uint64_t bytes_per_rank = tuples * kTupleSize / kNodes;
-      std::vector<uint8_t> send(kNodes * bytes_per_rank, 0);
-      std::vector<uint8_t> recv(kNodes * bytes_per_rank, 0);
-      DFI_CHECK_OK(env.Alltoall(static_cast<int>(r), send.data(),
-                                recv.data(), bytes_per_rank, &clock));
-      SimTime prev = finish.load();
-      while (prev < clock.now() &&
-             !finish.compare_exchange_weak(prev, clock.now())) {
-      }
-    });
-  }
-  for (auto& th : workers) th.join();
-  return finish.load();
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto nodes = fabric.AddNodes(kNodes);
+    mpi::MpiEnv env(&fabric, nodes);
+    const uint64_t tuples = table_bytes / kNodes / kTupleSize;
+    const SimTime base_cost = 20;
+    std::atomic<SimTime> finish{0};
+    exec::ActorGroup actors;
+    for (uint32_t r = 0; r < kNodes; ++r) {
+      actors.Spawn("worker", [&, r] {
+        const SimTime cost =
+            r == 0 ? static_cast<SimTime>(base_cost / straggle) : base_cost;
+        VirtualClock clock;
+        // Batched variant: pre-shuffle the whole local table, then one big
+        // Alltoall for the complete batch (paper section 6.2.2).
+        const net::SimConfig& cfg = fabric.config();
+        clock.Advance(static_cast<SimTime>(tuples) *
+                      (cost + cfg.tuple_push_fixed_ns +
+                       static_cast<SimTime>(kTupleSize *
+                                            cfg.tuple_copy_ns_per_byte)));
+        const uint64_t bytes_per_rank = tuples * kTupleSize / kNodes;
+        std::vector<uint8_t> send(kNodes * bytes_per_rank, 0);
+        std::vector<uint8_t> recv(kNodes * bytes_per_rank, 0);
+        DFI_CHECK_OK(env.Alltoall(static_cast<int>(r), send.data(),
+                                  recv.data(), bytes_per_rank, &clock));
+        SimTime prev = finish.load();
+        while (prev < clock.now() &&
+               !finish.compare_exchange_weak(prev, clock.now())) {
+        }
+      });
+    }
+    actors.Join();
+    return finish.load();
+  });
 }
 
 void Run() {

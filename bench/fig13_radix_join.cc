@@ -28,7 +28,8 @@ void Run() {
     auto addrs = MakeCluster(&fabric, cfg.num_nodes);
     std::vector<net::NodeId> ids;
     for (uint32_t i = 0; i < cfg.num_nodes; ++i) ids.push_back(i);
-    auto r = join::RunMpiRadixJoin(&fabric, ids, cfg);
+    auto r = exec::RunOnEngine(
+        [&] { return join::RunMpiRadixJoin(&fabric, ids, cfg); });
     DFI_CHECK(r.ok()) << r.status();
     mpi_result = *r;
   }
@@ -37,7 +38,8 @@ void Run() {
     net::Fabric fabric;
     auto addrs = MakeCluster(&fabric, cfg.num_nodes);
     DfiRuntime dfi(&fabric);
-    auto r = join::RunDfiRadixJoin(&dfi, addrs, cfg);
+    auto r = exec::RunOnEngine(
+        [&] { return join::RunDfiRadixJoin(&dfi, addrs, cfg); });
     DFI_CHECK(r.ok()) << r.status();
     dfi_result = *r;
   }

@@ -26,7 +26,8 @@ void Run() {
     MakeCluster(&fabric, cfg.num_nodes);
     std::vector<net::NodeId> ids;
     for (uint32_t i = 0; i < cfg.num_nodes; ++i) ids.push_back(i);
-    auto r = join::RunMpiRadixJoin(&fabric, ids, cfg);
+    auto r = exec::RunOnEngine(
+        [&] { return join::RunMpiRadixJoin(&fabric, ids, cfg); });
     DFI_CHECK(r.ok()) << r.status();
     mpi_result = *r;
   }
@@ -34,7 +35,8 @@ void Run() {
     net::Fabric fabric;
     auto addrs = MakeCluster(&fabric, cfg.num_nodes);
     DfiRuntime dfi(&fabric);
-    auto r = join::RunDfiRadixJoin(&dfi, addrs, cfg);
+    auto r = exec::RunOnEngine(
+        [&] { return join::RunDfiRadixJoin(&dfi, addrs, cfg); });
     DFI_CHECK(r.ok()) << r.status();
     radix_result = *r;
   }
@@ -42,7 +44,8 @@ void Run() {
     net::Fabric fabric;
     auto addrs = MakeCluster(&fabric, cfg.num_nodes);
     DfiRuntime dfi(&fabric);
-    auto r = join::RunDfiReplicateJoin(&dfi, addrs, cfg);
+    auto r = exec::RunOnEngine(
+        [&] { return join::RunDfiReplicateJoin(&dfi, addrs, cfg); });
     DFI_CHECK(r.ok()) << r.status();
     repl_result = *r;
   }

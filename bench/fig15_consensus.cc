@@ -36,10 +36,8 @@ void Sweep(const char* name, Fn run, TablePrinter* table) {
     auto addrs =
         MakeCluster(&fabric, cfg.num_replicas + cfg.num_client_nodes);
     DfiRuntime dfi(&fabric);
-    StatusOr<ConsensusResult> r = Status::Internal("not run");
-    exec::Engine engine({.workers = 1});
-    engine.Spawn(0, "fig15-root", [&] { r = run(&dfi, addrs, cfg); });
-    engine.Run();
+    StatusOr<ConsensusResult> r =
+        exec::RunOnEngine([&] { return run(&dfi, addrs, cfg); });
     DFI_CHECK(r.ok()) << r.status();
     table->AddRow({name, Micros(think), Num(r->throughput_rps),
                    Micros(r->median_latency_ns),

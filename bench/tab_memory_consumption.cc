@@ -20,67 +20,70 @@ struct CellResult {
 
 CellResult RunCell(uint32_t num_nodes, uint32_t threads_per_node,
                    uint32_t segments_per_ring, uint64_t bytes_per_source) {
-  net::Fabric fabric;
-  auto addrs = MakeCluster(&fabric, num_nodes);
-  DfiRuntime dfi(&fabric);
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    auto addrs = MakeCluster(&fabric, num_nodes);
+    DfiRuntime dfi(&fabric);
 
-  ShuffleFlowSpec spec;
-  spec.name = "mem";
-  spec.sources = DfiNodes::GridOf(addrs, threads_per_node);
-  spec.targets = DfiNodes::GridOf(addrs, threads_per_node);
-  spec.schema = PaddedSchema(kTupleSize);
-  spec.options.segments_per_ring = segments_per_ring;
-  DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
+    ShuffleFlowSpec spec;
+    spec.name = "mem";
+    spec.sources = DfiNodes::GridOf(addrs, threads_per_node);
+    spec.targets = DfiNodes::GridOf(addrs, threads_per_node);
+    spec.schema = PaddedSchema(kTupleSize);
+    spec.options.segments_per_ring = segments_per_ring;
+    DFI_CHECK_OK(dfi.InitShuffleFlow(std::move(spec)));
 
-  const uint32_t workers = num_nodes * threads_per_node;
-  const uint64_t tuples = bytes_per_source / kTupleSize;
-  std::atomic<SimTime> finish{0};
-  std::atomic<uint64_t> mem_node0{0};
-  std::vector<std::thread> threads;
-  for (uint32_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      auto src = dfi.CreateShuffleSource("mem", w);
-      auto tgt = dfi.CreateShuffleTarget("mem", w);
-      if (w == 0) {
-        // All endpoints exist now; snapshot node 0's registered memory.
-        mem_node0.store(dfi.RegisteredBytesOnNode(0));
-      }
-      std::vector<uint8_t> buf(kTupleSize, 0);
-      bool drained = false;
-      for (uint64_t i = 0; i < tuples; ++i) {
-        TupleWriter(buf.data(), &(*src)->schema()).Set<uint64_t>(0, i * 7 + w);
-        DFI_CHECK_OK((*src)->Push(buf.data()));
-        if (i % 128 == 0) {
-          SegmentView seg;
-          ConsumeResult r;
-          while (!drained && (*tgt)->TryConsumeSegment(&seg, &r)) {
-            if (r == ConsumeResult::kFlowEnd) {
-              drained = true;
-              break;
+    const uint32_t workers = num_nodes * threads_per_node;
+    const uint64_t tuples = bytes_per_source / kTupleSize;
+    std::atomic<SimTime> finish{0};
+    std::atomic<uint64_t> mem_node0{0};
+    exec::ActorGroup actors;
+    for (uint32_t w = 0; w < workers; ++w) {
+      actors.Spawn("worker", [&, w] {
+        auto src = dfi.CreateShuffleSource("mem", w);
+        auto tgt = dfi.CreateShuffleTarget("mem", w);
+        if (w == 0) {
+          // All endpoints exist now; snapshot node 0's registered memory.
+          mem_node0.store(dfi.RegisteredBytesOnNode(0));
+        }
+        std::vector<uint8_t> buf(kTupleSize, 0);
+        bool drained = false;
+        for (uint64_t i = 0; i < tuples; ++i) {
+          TupleWriter(buf.data(), &(*src)->schema())
+              .Set<uint64_t>(0, i * 7 + w);
+          DFI_CHECK_OK((*src)->Push(buf.data()));
+          if (i % 128 == 0) {
+            SegmentView seg;
+            ConsumeResult r;
+            while (!drained && (*tgt)->TryConsumeSegment(&seg, &r)) {
+              if (r == ConsumeResult::kFlowEnd) {
+                drained = true;
+                break;
+              }
             }
           }
         }
-      }
-      DFI_CHECK_OK((*src)->Close());
-      SegmentView seg;
-      while (!drained) {
-        if ((*tgt)->ConsumeSegment(&seg) == ConsumeResult::kFlowEnd) {
-          drained = true;
+        DFI_CHECK_OK((*src)->Close());
+        SegmentView seg;
+        while (!drained) {
+          if ((*tgt)->ConsumeSegment(&seg) == ConsumeResult::kFlowEnd) {
+            drained = true;
+          }
         }
-      }
-      const SimTime end =
-          std::max((*src)->clock().now(), (*tgt)->clock().now());
-      SimTime prev = finish.load();
-      while (prev < end && !finish.compare_exchange_weak(prev, end)) {
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  CellResult result;
-  result.bytes_node0 = mem_node0.load();
-  result.rate_bytes_per_ns = static_cast<double>(bytes_per_source) * workers /
-                             static_cast<double>(finish.load());
-  return result;
+        const SimTime end =
+            std::max((*src)->clock().now(), (*tgt)->clock().now());
+        SimTime prev = finish.load();
+        while (prev < end && !finish.compare_exchange_weak(prev, end)) {
+        }
+      });
+    }
+    actors.Join();
+    CellResult result;
+    result.bytes_node0 = mem_node0.load();
+    result.rate_bytes_per_ns = static_cast<double>(bytes_per_source) * workers /
+                               static_cast<double>(finish.load());
+    return result;
+  });
 }
 
 void Run() {

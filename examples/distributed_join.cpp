@@ -32,7 +32,8 @@ int main() {
       addrs.push_back(fabric.node(id).address());
     }
     DfiRuntime dfi(&fabric);
-    auto result = join::RunDfiRadixJoin(&dfi, addrs, cfg);
+    auto result = exec::RunOnEngine(
+        [&] { return join::RunDfiRadixJoin(&dfi, addrs, cfg); });
     DFI_CHECK(result.ok()) << result.status();
     std::printf(
         "radix join:      %llu matches, network+partition %s, "
@@ -54,7 +55,8 @@ int main() {
       addrs.push_back(fabric.node(id).address());
     }
     DfiRuntime dfi(&fabric);
-    auto result = join::RunDfiReplicateJoin(&dfi, addrs, cfg);
+    auto result = exec::RunOnEngine(
+        [&] { return join::RunDfiReplicateJoin(&dfi, addrs, cfg); });
     DFI_CHECK(result.ok()) << result.status();
     std::printf(
         "replicate join:  %llu matches (small inner), replication %s, "

@@ -1,11 +1,10 @@
 // Quickstart: the paper's Figure 1 end to end — initialize a shuffle flow,
-// push tuples from one source thread and consume them on two target
-// threads, key-partitioned.
+// push tuples from one source and consume them on two targets,
+// key-partitioned.
 //
 //   $ ./build/examples/quickstart
 
 #include <cstdio>
-#include <thread>
 
 #include "core/dfi.h"
 
@@ -37,36 +36,36 @@ int main() {
     int64_t value;
   };
 
-  // Source thread: push tuples; push is asynchronous and returns as soon as
-  // the tuple is staged in the send buffer.
-  std::thread source_thread([&] {
-    auto source = dfi.CreateShuffleSource("quickstart", 0);
-    DFI_CHECK(source.ok());
-    for (int64_t i = 0; i < 8; ++i) {
-      Tuple tuple{i, i * 10};
-      DFI_CHECK_OK((*source)->Push(&tuple));
-    }
-    DFI_CHECK_OK((*source)->Close());  // end-of-flow to both targets
-  });
-
-  // Two target threads: consume until FLOW_END.
-  std::vector<std::thread> target_threads;
-  for (uint32_t t = 0; t < 2; ++t) {
-    target_threads.emplace_back([&, t] {
-      auto target = dfi.CreateShuffleTarget("quickstart", t);
-      DFI_CHECK(target.ok());
-      TupleView tuple;
-      while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-        std::printf("target %u consumed {%lld, %lld}\n", t,
-                    static_cast<long long>(tuple.Get<int64_t>(0)),
-                    static_cast<long long>(tuple.Get<int64_t>(1)));
+  // Every source and target is an actor: a fiber of one engine, scheduled
+  // in virtual-time order on this thread.
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    // Source: push tuples; push is asynchronous and returns as soon as the
+    // tuple is staged in the send buffer.
+    actors.Spawn("source", [&] {
+      auto source = dfi.CreateShuffleSource("quickstart", 0);
+      DFI_CHECK(source.ok());
+      for (int64_t i = 0; i < 8; ++i) {
+        Tuple tuple{i, i * 10};
+        DFI_CHECK_OK((*source)->Push(&tuple));
       }
-      std::printf("target %u: FLOW_END at virtual time %s\n", t,
-                  FormatDuration((*target)->clock().now()).c_str());
+      DFI_CHECK_OK((*source)->Close());  // end-of-flow to both targets
     });
-  }
-
-  source_thread.join();
-  for (auto& th : target_threads) th.join();
+    // Two targets: consume until FLOW_END.
+    for (uint32_t t = 0; t < 2; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto target = dfi.CreateShuffleTarget("quickstart", t);
+        DFI_CHECK(target.ok());
+        TupleView tuple;
+        while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+          std::printf("target %u consumed {%lld, %lld}\n", t,
+                      static_cast<long long>(tuple.Get<int64_t>(0)),
+                      static_cast<long long>(tuple.Get<int64_t>(1)));
+        }
+        std::printf("target %u: FLOW_END at virtual time %s\n", t,
+                    FormatDuration((*target)->clock().now()).c_str());
+      });
+    }
+  });
   return 0;
 }

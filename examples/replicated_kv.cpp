@@ -24,12 +24,10 @@ void RunOne(const char* name, Fn run, const consensus::ConsensusConfig& cfg) {
     addrs.push_back(fabric.node(id).address());
   }
   DfiRuntime dfi(&fabric);
-  // The consensus actors are fibers: run the app as the root task of a
-  // 1-worker engine.
-  StatusOr<consensus::ConsensusResult> result = Status::Internal("not run");
-  exec::Engine engine({.workers = 1});
-  engine.Spawn(0, "replicated-kv", [&] { result = run(&dfi, addrs, cfg); });
-  engine.Run();
+  // The consensus actors are fibers: run the app as the root task of an
+  // engine.
+  StatusOr<consensus::ConsensusResult> result =
+      exec::RunOnEngine([&] { return run(&dfi, addrs, cfg); });
   DFI_CHECK(result.ok()) << result.status();
   std::printf("%-12s %8llu requests  %10.0f req/s  median %-9s p95 %s\n",
               name, static_cast<unsigned long long>(result->completed),

@@ -101,8 +101,10 @@ int main() {
   DFI_CHECK_OK(run.status());
   std::printf("%-8s %12s %8s %8s %8s\n", "sensor", "sum", "count", "min",
               "max");
-  DFI_CHECK_OK((*run)->Start());
-  DFI_CHECK_OK((*run)->Finish());
+  exec::RunOnEngine([&] {
+    DFI_CHECK_OK((*run)->Start());
+    DFI_CHECK_OK((*run)->Finish());
+  });
 
   std::printf(
       "%llu groups from %llu samples, aggregated in %s of virtual time\n",

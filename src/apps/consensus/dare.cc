@@ -79,7 +79,7 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
   exec::ActorGroup actors;
 
   // ---- Leader: the serializing write protocol -----------------------------
-  actors.Spawn(0, "dare.leader", [&] {
+  actors.Spawn("dare.leader", [&] {
     auto submit_tgt = dfi->CreateShuffleTarget("dare.submit", 0);
     auto reply_src = dfi->CreateShuffleSource("dare.reply", 0);
     if (!submit_tgt.ok() || !reply_src.ok()) {
@@ -146,8 +146,7 @@ StatusOr<ConsensusResult> RunDare(DfiRuntime* dfi,
 
   // ---- Clients: strictly sequential (window 1) ----------------------------
   for (uint32_t c = 0; c < cfg.num_clients; ++c) {
-    actors.Spawn(cfg.num_replicas + c % cfg.num_client_nodes,
-                 "dare.client." + std::to_string(c), [&, c] {
+    actors.Spawn("dare.client." + std::to_string(c), [&, c] {
       auto submit_src = dfi->CreateShuffleSource("dare.submit", c);
       auto reply_tgt = dfi->CreateShuffleTarget("dare.reply", c);
       if (!submit_src.ok() || !reply_tgt.ok()) {

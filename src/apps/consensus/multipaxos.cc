@@ -430,7 +430,7 @@ StatusOr<ConsensusResult> RunMultiPaxos(DfiRuntime* dfi,
   exec::ActorGroup actors;
 
   // ---- Term-1 leader (replica 0, the crash victim if one is scheduled) ----
-  actors.Spawn(0, "mp.leader", [&] {
+  actors.Spawn("mp.leader", [&] {
     auto ep = LeaderEndpoints::Create(dfi, kTerm1);
     if (!ep.ok()) {
       failed.store(true);
@@ -446,7 +446,7 @@ StatusOr<ConsensusResult> RunMultiPaxos(DfiRuntime* dfi,
 
   // ---- Followers (replicas 1..n-1): term 1, then their term-2 role --------
   for (uint32_t r = 1; r < cfg.num_replicas; ++r) {
-    actors.Spawn(r, "mp.follower." + std::to_string(r), [&, r] {
+    actors.Spawn("mp.follower." + std::to_string(r), [&, r] {
       auto propose_tgt =
           dfi->CreateReplicateTarget(FlowName(kTerm1, "propose"), r - 1);
       auto vote_src = dfi->CreateShuffleSource(FlowName(kTerm1, "vote"), r - 1);
@@ -511,8 +511,7 @@ StatusOr<ConsensusResult> RunMultiPaxos(DfiRuntime* dfi,
 
   // ---- Clients ------------------------------------------------------------
   for (uint32_t c = 0; c < cfg.num_clients; ++c) {
-    actors.Spawn(cfg.num_replicas + c % cfg.num_client_nodes,
-                 "mp.client." + std::to_string(c), [&, c] {
+    actors.Spawn("mp.client." + std::to_string(c), [&, c] {
       auto submit1 = dfi->CreateShuffleSource(FlowName(kTerm1, "submit"), c);
       auto reply1 = dfi->CreateShuffleTarget(FlowName(kTerm1, "reply"), c);
       StatusOr<std::unique_ptr<ShuffleSource>> submit2{nullptr};

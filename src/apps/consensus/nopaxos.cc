@@ -87,7 +87,7 @@ StatusOr<ConsensusResult> RunNoPaxos(DfiRuntime* dfi,
 
   // ---- Replicas -----------------------------------------------------------
   for (uint32_t r = 0; r < cfg.num_replicas; ++r) {
-    actors.Spawn(r, "np.replica." + std::to_string(r), [&, r] {
+    actors.Spawn("np.replica." + std::to_string(r), [&, r] {
       auto oum_tgt = dfi->CreateReplicateTarget("np.oum", r);
       if (!oum_tgt.ok()) {
         failed.store(true);
@@ -157,8 +157,7 @@ StatusOr<ConsensusResult> RunNoPaxos(DfiRuntime* dfi,
 
   // ---- Clients ------------------------------------------------------------
   for (uint32_t c = 0; c < cfg.num_clients; ++c) {
-    actors.Spawn(cfg.num_replicas + c % cfg.num_client_nodes,
-                 "np.client." + std::to_string(c), [&, c] {
+    actors.Spawn("np.client." + std::to_string(c), [&, c] {
       auto oum_src = dfi->CreateReplicateSource("np.oum", c);
       auto reply_tgt = dfi->CreateShuffleTarget("np.reply", c);
       auto ack_tgt = dfi->CreateShuffleTarget("np.ack", c);

@@ -148,8 +148,7 @@ StatusOr<JoinResult> RunDfiRadixJoin(DfiRuntime* dfi,
   std::atomic<bool> failed{false};
 
   for (uint32_t w = 0; w < W; ++w) {
-    workers.Spawn(w / config.workers_per_node, "join.w" + std::to_string(w),
-                  [&, w] {
+    workers.Spawn("join.w" + std::to_string(w), [&, w] {
       auto src1 = run->ClaimShuffleSource("join.inner", w);
       auto tgt1 = run->ClaimShuffleTarget("join.inner", w);
       auto src2 = run->ClaimShuffleSource("join.outer", w);
@@ -349,8 +348,7 @@ StatusOr<JoinResult> RunMpiRadixJoin(net::Fabric* fabric,
   exec::ActorGroup ranks;
 
   for (uint32_t w = 0; w < W; ++w) {
-    ranks.Spawn(w / config.workers_per_node, "mpi-join.r" + std::to_string(w),
-                [&, w] {
+    ranks.Spawn("mpi-join.r" + std::to_string(w), [&, w] {
       VirtualClock clock;
       RankStat& st = stats[w];
       const int rank = static_cast<int>(w);
@@ -524,8 +522,7 @@ StatusOr<JoinResult> RunDfiReplicateJoin(DfiRuntime* dfi,
   exec::ActorGroup workers;
 
   for (uint32_t w = 0; w < W; ++w) {
-    workers.Spawn(w / config.workers_per_node,
-                  "replicate-join.w" + std::to_string(w), [&, w] {
+    workers.Spawn("replicate-join.w" + std::to_string(w), [&, w] {
       auto src = run->ClaimReplicateSource("join.inner", w);
       auto tgt = run->ClaimReplicateTarget("join.inner", w);
       if (!src.ok() || !tgt.ok()) {

@@ -646,33 +646,25 @@ void IdleWait(uint64_t seen_epoch) {
 
 // ---- ActorGroup ----------------------------------------------------------
 
-void ActorGroup::Spawn(uint32_t domain, std::string name,
-                       std::function<void()> fn) {
+void ActorGroup::Spawn(std::string name, std::function<void()> fn) {
   Engine* e = Engine::Current();
-  if (e == nullptr) {
-    threads_.emplace_back(std::move(fn));
-    return;
-  }
+  DFI_CHECK(e != nullptr) << "ActorGroup::Spawn outside an engine task: "
+                          << name;
   engine_ = e;
   live_.fetch_add(1, std::memory_order_seq_cst);
   std::lock_guard<std::mutex> lock(e->impl_->mu_);
-  e->impl_->SpawnLocked(domain, std::move(name), std::move(fn), this);
+  e->impl_->SpawnLocked(0, std::move(name), std::move(fn), this);
   e->impl_->cv_.notify_all();
 }
 
 void ActorGroup::Join() {
-  if (engine_ != nullptr) {
-    while (live_.load(std::memory_order_seq_cst) != 0) {
-      Engine::Park(&done_,
-                   [this] {
-                     return live_.load(std::memory_order_seq_cst) == 0;
-                   },
-                   /*now=*/-1, Engine::kNoTimer);
-    }
-    engine_ = nullptr;
+  if (engine_ == nullptr) return;
+  while (live_.load(std::memory_order_seq_cst) != 0) {
+    Engine::Park(&done_,
+                 [this] { return live_.load(std::memory_order_seq_cst) == 0; },
+                 /*now=*/-1, Engine::kNoTimer);
   }
-  for (std::thread& th : threads_) th.join();
-  threads_.clear();
+  engine_ = nullptr;
 }
 
 }  // namespace dfi::exec

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -145,9 +146,8 @@ void BumpProgress();
 /// task until the epoch moves. The caller must be an engine task.
 void IdleWait(uint64_t seen_epoch);
 
-/// Drop-in replacement for the `std::vector<std::thread>` actor-spawning
-/// idiom: spawns engine tasks when called from inside a running engine task
-/// and real OS threads otherwise, so one workload body serves both modes.
+/// A set of actors spawned as tasks of the calling task's engine, joined as
+/// one. Spawn must be called from inside an engine task (see RunOnEngine).
 class ActorGroup {
  public:
   ActorGroup() = default;
@@ -155,19 +155,34 @@ class ActorGroup {
   ActorGroup(const ActorGroup&) = delete;
   ActorGroup& operator=(const ActorGroup&) = delete;
 
-  /// `domain` is the emulated node the actor belongs to (scheduling
-  /// affinity); ignored in thread mode.
-  void Spawn(uint32_t domain, std::string name, std::function<void()> fn);
-  /// Blocks (parks, in engine mode) until every spawned actor finished.
+  void Spawn(std::string name, std::function<void()> fn);
+  /// Parks the calling task until every spawned actor finished.
   void Join();
 
  private:
   friend class Engine;
-  std::vector<std::thread> threads_;
   std::atomic<uint32_t> live_{0};
   WaitPoint done_;
   Engine* engine_ = nullptr;
 };
+
+/// Runs `fn` as the root task of a fresh engine on the calling thread and
+/// returns its result. Actors that `fn` spawns through ActorGroup run on the
+/// same engine.
+template <typename Fn>
+auto RunOnEngine(Fn&& fn) -> std::invoke_result_t<Fn&> {
+  using R = std::invoke_result_t<Fn&>;
+  Engine engine({.workers = 1});
+  if constexpr (std::is_void_v<R>) {
+    engine.Spawn(0, "root", [&] { fn(); });
+    engine.Run();
+  } else {
+    std::optional<R> out;
+    engine.Spawn(0, "root", [&] { out.emplace(fn()); });
+    engine.Run();
+    return std::move(*out);
+  }
+}
 
 }  // namespace dfi::exec
 

@@ -161,11 +161,8 @@ Status GraphRun::Start() {
   for (size_t v = 0; v < spec.vertices.size(); ++v) {
     const VertexSpec& vs = spec.vertices[v];
     if (vs.kind == OpKind::kCustom) continue;  // application-driven
-    const std::vector<net::NodeId>& nodes = graph_.vertex_info(v).nodes;
     for (uint32_t w = 0; w < vs.workers.size(); ++w) {
-      const uint32_t domain = w < nodes.size() ? nodes[w] : 0;
-      actors_.Spawn(domain,
-                    spec.name + "." + vs.name + "." + std::to_string(w),
+      actors_.Spawn(spec.name + "." + vs.name + "." + std::to_string(w),
                     [this, v = static_cast<int>(v), w] {
                       VertexStats st;
                       Status s = RunWorker(v, w, &st);

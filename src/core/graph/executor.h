@@ -26,10 +26,8 @@ namespace dfi::graph {
 ///   ...                             // drive kCustom vertices via Claim*
 ///   DFI_CHECK_OK(run->Finish());    // joins actors, removes the flows
 ///
-/// Start/Finish follow the dual-mode actor convention (ActorGroup): called
-/// from inside a running engine task the operators become engine actors in
-/// their placement's node domain — deterministic at any worker-pool size —
-/// and plain OS threads otherwise.
+/// Start must be called from inside an engine task (exec::RunOnEngine): the
+/// operators become actors of that engine (exec::ActorGroup).
 class GraphRun {
  public:
   ~GraphRun();

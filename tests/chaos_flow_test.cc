@@ -7,8 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
 
+#include "common/exec/engine.h"
+#include "common/units.h"
 #include "core/combiner_flow.h"
 #include "core/dfi_runtime.h"
 #include "core/replicate_flow.h"
@@ -51,29 +52,33 @@ TEST_F(ChaosFlowTest, ShuffleSourceAbortFailsConsumer) {
   spec.options = Bounded();
   ASSERT_TRUE(dfi_.InitShuffleFlow(std::move(spec)).ok());
 
-  std::thread healthy([&] {
-    auto src = dfi_.CreateShuffleSource("f", 1);
-    for (uint64_t k = 0; k < 5; ++k) ASSERT_TRUE((*src)->Push(&k).ok());
-    ASSERT_TRUE((*src)->Close().ok());
-  });
-  std::thread dying([&] {
-    auto src = dfi_.CreateShuffleSource("f", 0);
-    uint64_t k = 99;
-    ASSERT_TRUE((*src)->Push(&k).ok());
-    (*src)->Abort(Status::PeerFailed("source 0 died"));  // no Close
-  });
+  exec::RunOnEngine([&] {
+    exec::ActorGroup healthy;
+    healthy.Spawn("healthy", [&] {
+      auto src = dfi_.CreateShuffleSource("f", 1);
+      for (uint64_t k = 0; k < 5; ++k) ASSERT_TRUE((*src)->Push(&k).ok());
+      ASSERT_TRUE((*src)->Close().ok());
+    });
+    exec::ActorGroup dying;
+    dying.Spawn("dying", [&] {
+      auto src = dfi_.CreateShuffleSource("f", 0);
+      uint64_t k = 99;
+      ASSERT_TRUE((*src)->Push(&k).ok());
+      (*src)->Abort(Status::PeerFailed("source 0 died"));  // no Close
+    });
 
-  auto tgt = dfi_.CreateShuffleTarget("f", 0);
-  uint64_t consumed = 0;
-  ConsumeResult r;
-  TupleView tuple;
-  while ((r = (*tgt)->Consume(&tuple)) == ConsumeResult::kOk) ++consumed;
-  EXPECT_EQ(r, ConsumeResult::kError)
-      << "an aborted source must fail the consumer, not end the flow";
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
-  EXPECT_LE(consumed, 6u);
-  healthy.join();
-  dying.join();
+    auto tgt = dfi_.CreateShuffleTarget("f", 0);
+    uint64_t consumed = 0;
+    ConsumeResult r;
+    TupleView tuple;
+    while ((r = (*tgt)->Consume(&tuple)) == ConsumeResult::kOk) ++consumed;
+    EXPECT_EQ(r, ConsumeResult::kError)
+        << "an aborted source must fail the consumer, not end the flow";
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+    EXPECT_LE(consumed, 6u);
+    healthy.Join();
+    dying.Join();
+  });
 }
 
 TEST_F(ChaosFlowTest, ShuffleTargetAbortUnblocksFullRingProducer) {
@@ -88,20 +93,23 @@ TEST_F(ChaosFlowTest, ShuffleTargetAbortUnblocksFullRingProducer) {
 
   auto tgt = dfi_.CreateShuffleTarget("f", 0);
   Status push_status;
-  std::thread producer([&] {
-    auto src = dfi_.CreateShuffleSource("f", 0);
-    for (uint64_t k = 0; k < 1000; ++k) {
-      push_status = (*src)->Push(&k);
-      if (!push_status.ok()) return;
-    }
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      auto src = dfi_.CreateShuffleSource("f", 0);
+      for (uint64_t k = 0; k < 1000; ++k) {
+        push_status = (*src)->Push(&k);
+        if (!push_status.ok()) return;
+      }
+    });
+    // Let the producer wedge against the never-consumed ring (it runs until
+    // it parks), then kill the target. The blocked Push must wake with the
+    // abort cause even though no deadline was configured.
+    exec::Engine::Yield(kSecond);
+    (*tgt)->Abort(Status::PeerFailed("target process killed"));
+    producer.Join();
+    EXPECT_EQ(push_status.code(), StatusCode::kPeerFailed);
   });
-  // Let the producer wedge against the never-consumed ring, then kill the
-  // target. The blocked Push must wake with the abort cause even though no
-  // deadline was configured.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  (*tgt)->Abort(Status::PeerFailed("target process killed"));
-  producer.join();
-  EXPECT_EQ(push_status.code(), StatusCode::kPeerFailed);
 }
 
 TEST_F(ChaosFlowTest, ShuffleConsumeDeadlineExpiresWithSilentSource) {
@@ -152,25 +160,28 @@ TEST_F(ChaosFlowTest, ReplicateNaiveSourceAbortFailsAllTargets) {
   spec.options = Bounded();
   ASSERT_TRUE(dfi_.InitReplicateFlow(std::move(spec)).ok());
 
-  std::thread producer([&] {
-    auto src = dfi_.CreateReplicateSource("f", 0);
-    for (uint64_t k = 0; k < 8; ++k) ASSERT_TRUE((*src)->Push(&k).ok());
-    (*src)->Abort(Status::PeerFailed("replicate source died"));
-  });
-  std::vector<std::thread> consumers;
-  for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
-      auto tgt = dfi_.CreateReplicateTarget("f", t);
-      SegmentView seg;
-      ConsumeResult r;
-      while ((r = (*tgt)->ConsumeSegment(&seg)) == ConsumeResult::kOk) {
-      }
-      EXPECT_EQ(r, ConsumeResult::kError);
-      EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      auto src = dfi_.CreateReplicateSource("f", 0);
+      for (uint64_t k = 0; k < 8; ++k) ASSERT_TRUE((*src)->Push(&k).ok());
+      (*src)->Abort(Status::PeerFailed("replicate source died"));
     });
-  }
-  producer.join();
-  for (auto& th : consumers) th.join();
+    exec::ActorGroup consumers;
+    for (uint32_t t = 0; t < 2; ++t) {
+      consumers.Spawn("target", [&, t] {
+        auto tgt = dfi_.CreateReplicateTarget("f", t);
+        SegmentView seg;
+        ConsumeResult r;
+        while ((r = (*tgt)->ConsumeSegment(&seg)) == ConsumeResult::kOk) {
+        }
+        EXPECT_EQ(r, ConsumeResult::kError);
+        EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+      });
+    }
+    producer.Join();
+    consumers.Join();
+  });
 }
 
 TEST_F(ChaosFlowTest, ReplicateMulticastAbortFailsAllTargets) {
@@ -184,25 +195,28 @@ TEST_F(ChaosFlowTest, ReplicateMulticastAbortFailsAllTargets) {
   spec.options.use_multicast = true;
   ASSERT_TRUE(dfi_.InitReplicateFlow(std::move(spec)).ok());
 
-  std::thread producer([&] {
-    auto src = dfi_.CreateReplicateSource("f", 0);
-    for (uint64_t k = 0; k < 8; ++k) ASSERT_TRUE((*src)->Push(&k).ok());
-    (*src)->Abort(Status::PeerFailed("multicast source died"));
-  });
-  std::vector<std::thread> consumers;
-  for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
-      auto tgt = dfi_.CreateReplicateTarget("f", t);
-      SegmentView seg;
-      ConsumeResult r;
-      while ((r = (*tgt)->ConsumeSegment(&seg)) == ConsumeResult::kOk) {
-      }
-      EXPECT_EQ(r, ConsumeResult::kError);
-      EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      auto src = dfi_.CreateReplicateSource("f", 0);
+      for (uint64_t k = 0; k < 8; ++k) ASSERT_TRUE((*src)->Push(&k).ok());
+      (*src)->Abort(Status::PeerFailed("multicast source died"));
     });
-  }
-  producer.join();
-  for (auto& th : consumers) th.join();
+    exec::ActorGroup consumers;
+    for (uint32_t t = 0; t < 2; ++t) {
+      consumers.Spawn("target", [&, t] {
+        auto tgt = dfi_.CreateReplicateTarget("f", t);
+        SegmentView seg;
+        ConsumeResult r;
+        while ((r = (*tgt)->ConsumeSegment(&seg)) == ConsumeResult::kOk) {
+        }
+        EXPECT_EQ(r, ConsumeResult::kError);
+        EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+      });
+    }
+    producer.Join();
+    consumers.Join();
+  });
 }
 
 TEST_F(ChaosFlowTest, ReplicateMulticastFaultPlanCrashDetected) {
@@ -241,28 +255,32 @@ TEST_F(ChaosFlowTest, CombinerSourceAbortFailsAggregation) {
     uint64_t key;
     int64_t value;
   };
-  std::thread healthy([&] {
-    auto src = dfi_.CreateCombinerSource("f", 0);
-    Kv kv{1, 10};
-    ASSERT_TRUE((*src)->Push(&kv).ok());
-    ASSERT_TRUE((*src)->Close().ok());
-  });
-  std::thread dying([&] {
-    auto src = dfi_.CreateCombinerSource("f", 1);
-    Kv kv{2, 20};
-    ASSERT_TRUE((*src)->Push(&kv).ok());
-    (*src)->Abort(Status::PeerFailed("combiner source died"));
-  });
+  exec::RunOnEngine([&] {
+    exec::ActorGroup healthy;
+    healthy.Spawn("healthy", [&] {
+      auto src = dfi_.CreateCombinerSource("f", 0);
+      Kv kv{1, 10};
+      ASSERT_TRUE((*src)->Push(&kv).ok());
+      ASSERT_TRUE((*src)->Close().ok());
+    });
+    exec::ActorGroup dying;
+    dying.Spawn("dying", [&] {
+      auto src = dfi_.CreateCombinerSource("f", 1);
+      Kv kv{2, 20};
+      ASSERT_TRUE((*src)->Push(&kv).ok());
+      (*src)->Abort(Status::PeerFailed("combiner source died"));
+    });
 
-  // The drain pre-aggregates everything before the first row is released,
-  // so a dead source fails the whole aggregation — partial sums would be
-  // silently wrong answers.
-  auto tgt = dfi_.CreateCombinerTarget("f", 0);
-  AggRow row;
-  EXPECT_EQ((*tgt)->ConsumeAggregate(&row), ConsumeResult::kError);
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
-  healthy.join();
-  dying.join();
+    // The drain pre-aggregates everything before the first row is released,
+    // so a dead source fails the whole aggregation — partial sums would be
+    // silently wrong answers.
+    auto tgt = dfi_.CreateCombinerTarget("f", 0);
+    AggRow row;
+    EXPECT_EQ((*tgt)->ConsumeAggregate(&row), ConsumeResult::kError);
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+    healthy.Join();
+    dying.Join();
+  });
 }
 
 TEST_F(ChaosFlowTest, CombinerDrainDeadlineExpiresWithSilentSource) {
@@ -299,18 +317,21 @@ TEST_F(ChaosFlowTest, AbortFlowByNameUnblocksWaitingConsumer) {
 
   ConsumeResult result = ConsumeResult::kOk;
   Status seen;
-  std::thread consumer([&] {
-    auto tgt = dfi_.CreateShuffleTarget("f", 0);
-    TupleView tuple;
-    result = (*tgt)->Consume(&tuple);
-    seen = (*tgt)->last_status();
+  exec::RunOnEngine([&] {
+    exec::ActorGroup consumer;
+    consumer.Spawn("consumer", [&] {
+      auto tgt = dfi_.CreateShuffleTarget("f", 0);
+      TupleView tuple;
+      result = (*tgt)->Consume(&tuple);
+      seen = (*tgt)->last_status();
+    });
+    exec::Engine::Yield(kSecond);  // the consumer runs until it parks
+    ASSERT_TRUE(
+        dfi_.AbortFlow("f", Status::PeerFailed("operator killed flow")).ok());
+    consumer.Join();
+    EXPECT_EQ(result, ConsumeResult::kError);
+    EXPECT_EQ(seen.code(), StatusCode::kPeerFailed);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_TRUE(
-      dfi_.AbortFlow("f", Status::PeerFailed("operator killed flow")).ok());
-  consumer.join();
-  EXPECT_EQ(result, ConsumeResult::kError);
-  EXPECT_EQ(seen.code(), StatusCode::kPeerFailed);
 }
 
 }  // namespace

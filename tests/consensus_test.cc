@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <utility>
 
 #include "apps/consensus/kv_store.h"
@@ -11,17 +10,6 @@
 
 namespace dfi::consensus {
 namespace {
-
-/// Runs `fn` as the root task of a 1-worker engine: the consensus apps'
-/// idle waits park their actors as fibers, so they only run on an engine.
-template <typename Fn>
-auto OnEngine(Fn fn) -> decltype(fn()) {
-  std::optional<decltype(fn())> out;
-  exec::Engine engine({.workers = 1});
-  engine.Spawn(0, "root", [&] { out.emplace(fn()); });
-  engine.Run();
-  return std::move(*out);
-}
 
 TEST(KvStoreTest, PutGet) {
   KvStore kv;
@@ -67,7 +55,8 @@ TEST_F(ConsensusTest, MultiPaxosCompletesAllRequests) {
   const ConsensusConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg);
   DfiRuntime dfi(&fabric);
-  auto result = OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
+  auto result = exec::RunOnEngine(
+      [&] { return RunMultiPaxos(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->completed,
             uint64_t{cfg.num_clients} * cfg.requests_per_client);
@@ -86,7 +75,8 @@ TEST_F(ConsensusTest, MultiPaxosSurvivesLeaderCrashWithWindow) {
   auto addrs = SetUpNodes(&fabric, cfg);
   fabric.fault_plan().CrashNode(*fabric.ResolveAddress(addrs[0]), 100'000);
   DfiRuntime dfi(&fabric);
-  auto result = OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
+  auto result = exec::RunOnEngine(
+      [&] { return RunMultiPaxos(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->completed,
             uint64_t{cfg.num_clients} * cfg.requests_per_client);
@@ -119,7 +109,8 @@ TEST_F(ConsensusTest, FailureFreeMultiPaxosPublishesNoTerm2Flows) {
       spec.schema = Vote::MakeSchema();
       EXPECT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
     }
-    auto result = OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
+    auto result = exec::RunOnEngine(
+        [&] { return RunMultiPaxos(&dfi, addrs, cfg); });
     if (result.ok()) {
       EXPECT_EQ(result->resubmitted, 0u);
       EXPECT_EQ(result->recovery_first_reply_ns, 0);
@@ -135,7 +126,7 @@ TEST_F(ConsensusTest, NoPaxosCompletesAllRequests) {
   const ConsensusConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg);
   DfiRuntime dfi(&fabric);
-  auto result = OnEngine([&] { return RunNoPaxos(&dfi, addrs, cfg); });
+  auto result = exec::RunOnEngine([&] { return RunNoPaxos(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->completed,
             uint64_t{cfg.num_clients} * cfg.requests_per_client);
@@ -147,7 +138,7 @@ TEST_F(ConsensusTest, DareCompletesAllRequests) {
   const ConsensusConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg);
   DfiRuntime dfi(&fabric);
-  auto result = OnEngine([&] { return RunDare(&dfi, addrs, cfg); });
+  auto result = exec::RunOnEngine([&] { return RunDare(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->completed,
             uint64_t{cfg.num_clients} * cfg.requests_per_client);
@@ -163,7 +154,7 @@ TEST_F(ConsensusTest, DfiSystemsOutperformDare) {
     net::Fabric f;
     auto addrs = SetUpNodes(&f, cfg);
     DfiRuntime dfi(&f);
-    auto r = OnEngine([&] { return RunDare(&dfi, addrs, cfg); });
+    auto r = exec::RunOnEngine([&] { return RunDare(&dfi, addrs, cfg); });
     ASSERT_TRUE(r.ok());
     dare_rps = r->throughput_rps;
   }
@@ -171,7 +162,7 @@ TEST_F(ConsensusTest, DfiSystemsOutperformDare) {
     net::Fabric f;
     auto addrs = SetUpNodes(&f, cfg);
     DfiRuntime dfi(&f);
-    auto r = OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
+    auto r = exec::RunOnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); });
     ASSERT_TRUE(r.ok());
     paxos_rps = r->throughput_rps;
   }
@@ -179,7 +170,7 @@ TEST_F(ConsensusTest, DfiSystemsOutperformDare) {
     net::Fabric f;
     auto addrs = SetUpNodes(&f, cfg);
     DfiRuntime dfi(&f);
-    auto r = OnEngine([&] { return RunNoPaxos(&dfi, addrs, cfg); });
+    auto r = exec::RunOnEngine([&] { return RunNoPaxos(&dfi, addrs, cfg); });
     ASSERT_TRUE(r.ok());
     nopaxos_rps = r->throughput_rps;
   }
@@ -198,13 +189,19 @@ TEST_F(ConsensusTest, ValidatesReplicaCount) {
   }
   DfiRuntime dfi(&fabric);
   EXPECT_EQ(
-      OnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); }).status().code(),
+      exec::RunOnEngine([&] { return RunMultiPaxos(&dfi, addrs, cfg); })
+          .status()
+          .code(),
       StatusCode::kInvalidArgument);
   EXPECT_EQ(
-      OnEngine([&] { return RunNoPaxos(&dfi, addrs, cfg); }).status().code(),
+      exec::RunOnEngine([&] { return RunNoPaxos(&dfi, addrs, cfg); })
+          .status()
+          .code(),
       StatusCode::kInvalidArgument);
   EXPECT_EQ(
-      OnEngine([&] { return RunDare(&dfi, addrs, cfg); }).status().code(),
+      exec::RunOnEngine([&] { return RunDare(&dfi, addrs, cfg); })
+          .status()
+          .code(),
       StatusCode::kInvalidArgument);
 }
 

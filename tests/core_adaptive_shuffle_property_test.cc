@@ -9,11 +9,11 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_util/workload.h"
+#include "common/exec/engine.h"
 #include "common/hash.h"
 #include "core/dfi_runtime.h"
 #include "core/endpoint/policies.h"
@@ -77,45 +77,47 @@ class AdaptiveShufflePropertyTest : public ::testing::Test {
   RunResult Run(const std::vector<std::vector<JoinTuple>>& relations,
                 const AdaptiveShuffleOptions& adaptive,
                 const std::string& name) {
-    const uint32_t num_sources = static_cast<uint32_t>(relations.size());
-    ShuffleFlowSpec spec;
-    spec.name = name;
-    for (uint32_t s = 0; s < num_sources; ++s) {
-      spec.sources.Append(Endpoint{addrs_[s % kNodes], s});
-    }
-    for (uint32_t t = 0; t < kTargets; ++t) {
-      spec.targets.Append(Endpoint{addrs_[NodeOfTarget(t)], t});
-    }
-    spec.schema = KeyPayloadSchema();
-    spec.options.adaptive = adaptive;
-    EXPECT_TRUE(dfi_.InitShuffleFlow(std::move(spec)).ok());
+    return exec::RunOnEngine([&] {
+      const uint32_t num_sources = static_cast<uint32_t>(relations.size());
+      ShuffleFlowSpec spec;
+      spec.name = name;
+      for (uint32_t s = 0; s < num_sources; ++s) {
+        spec.sources.Append(Endpoint{addrs_[s % kNodes], s});
+      }
+      for (uint32_t t = 0; t < kTargets; ++t) {
+        spec.targets.Append(Endpoint{addrs_[NodeOfTarget(t)], t});
+      }
+      spec.schema = KeyPayloadSchema();
+      spec.options.adaptive = adaptive;
+      EXPECT_TRUE(dfi_.InitShuffleFlow(std::move(spec)).ok());
 
-    RunResult result;
-    result.per_target.resize(kTargets);
-    std::vector<std::thread> threads;
-    for (uint32_t s = 0; s < num_sources; ++s) {
-      threads.emplace_back([&, s] {
-        auto src = dfi_.CreateShuffleSource(name, s);
-        ASSERT_TRUE(src.ok());
-        for (const auto& t : relations[s]) {
-          ASSERT_TRUE((*src)->Push(&t).ok());
-        }
-        ASSERT_TRUE((*src)->Close().ok());
-      });
-    }
-    for (uint32_t t = 0; t < kTargets; ++t) {
-      threads.emplace_back([&, t] {
-        auto tgt = dfi_.CreateShuffleTarget(name, t);
-        ASSERT_TRUE(tgt.ok());
-        TupleView tuple;
-        while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-          result.per_target[t].push_back(
-              JoinTuple{tuple.Get<uint64_t>(0), tuple.Get<uint64_t>(1)});
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    return result;
+      RunResult result;
+      result.per_target.resize(kTargets);
+      exec::ActorGroup actors;
+      for (uint32_t s = 0; s < num_sources; ++s) {
+        actors.Spawn("source", [&, s] {
+          auto src = dfi_.CreateShuffleSource(name, s);
+          ASSERT_TRUE(src.ok());
+          for (const auto& t : relations[s]) {
+            ASSERT_TRUE((*src)->Push(&t).ok());
+          }
+          ASSERT_TRUE((*src)->Close().ok());
+        });
+      }
+      for (uint32_t t = 0; t < kTargets; ++t) {
+        actors.Spawn("target", [&, t] {
+          auto tgt = dfi_.CreateShuffleTarget(name, t);
+          ASSERT_TRUE(tgt.ok());
+          TupleView tuple;
+          while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+            result.per_target[t].push_back(
+                JoinTuple{tuple.Get<uint64_t>(0), tuple.Get<uint64_t>(1)});
+          }
+        });
+      }
+      actors.Join();
+      return result;
+    });
   }
 
   net::Fabric fabric_;
@@ -278,39 +280,41 @@ TEST_F(AdaptiveShufflePropertyTest, CrashMidMigrationFailsCleanly) {
   auto rel = bench::GenerateHotKeyRelation(4096, 1 << 16, 2, 0.5, 5);
   const auto pushed = SortedMultiset({rel});
 
-  std::vector<std::thread> threads;
-  threads.emplace_back([&] {
-    auto src = dfi_.CreateShuffleSource("crash", 0);
-    ASSERT_TRUE(src.ok());
-    for (const auto& t : rel) {
-      if (!(*src)->Push(&t).ok()) break;  // teardown may race the pushes
-    }
-    (void)(*src)->Close();
-  });
-  std::vector<std::vector<JoinTuple>> got(kThreadsPerNode);
-  for (uint32_t t = 0; t < kThreadsPerNode; ++t) {
-    threads.emplace_back([&, t] {
-      auto tgt = dfi_.CreateShuffleTarget("crash", t);
-      ASSERT_TRUE(tgt.ok());
-      TupleView tuple;
-      ConsumeResult r;
-      while ((r = (*tgt)->Consume(&tuple)) == ConsumeResult::kOk) {
-        got[t].push_back(
-            JoinTuple{tuple.Get<uint64_t>(0), tuple.Get<uint64_t>(1)});
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    actors.Spawn("source", [&] {
+      auto src = dfi_.CreateShuffleSource("crash", 0);
+      ASSERT_TRUE(src.ok());
+      for (const auto& t : rel) {
+        if (!(*src)->Push(&t).ok()) break;  // teardown may race the pushes
       }
-      EXPECT_EQ(r, ConsumeResult::kError);
-      EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+      (void)(*src)->Close();
     });
-  }
-  for (auto& th : threads) th.join();
+    std::vector<std::vector<JoinTuple>> got(kThreadsPerNode);
+    for (uint32_t t = 0; t < kThreadsPerNode; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto tgt = dfi_.CreateShuffleTarget("crash", t);
+        ASSERT_TRUE(tgt.ok());
+        TupleView tuple;
+        ConsumeResult r;
+        while ((r = (*tgt)->Consume(&tuple)) == ConsumeResult::kOk) {
+          got[t].push_back(
+              JoinTuple{tuple.Get<uint64_t>(0), tuple.Get<uint64_t>(1)});
+        }
+        EXPECT_EQ(r, ConsumeResult::kError);
+        EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+      });
+    }
+    actors.Join();
 
-  auto consumed = SortedMultiset(got);
-  EXPECT_EQ(std::adjacent_find(consumed.begin(), consumed.end()),
-            consumed.end())
-      << "a tuple was delivered twice during teardown";
-  EXPECT_TRUE(std::includes(pushed.begin(), pushed.end(), consumed.begin(),
-                            consumed.end()))
-      << "a tuple was invented during teardown";
+    auto consumed = SortedMultiset(got);
+    EXPECT_EQ(std::adjacent_find(consumed.begin(), consumed.end()),
+              consumed.end())
+        << "a tuple was delivered twice during teardown";
+    EXPECT_TRUE(std::includes(pushed.begin(), pushed.end(), consumed.begin(),
+                              consumed.end()))
+        << "a tuple was invented during teardown";
+  });
 }
 
 }  // namespace

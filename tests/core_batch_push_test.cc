@@ -9,9 +9,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 
 namespace dfi {
@@ -80,82 +80,84 @@ void ApplyRouting(ShuffleFlowSpec* spec, Routing routing,
 /// versus tuple-at-a-time Push over identical input data.
 std::vector<std::vector<uint64_t>> RunFlow(const GridParam& p,
                                            bool batched) {
-  net::Fabric fabric;
-  fabric.AddNodes(std::max(p.num_sources, p.num_targets));
-  DfiRuntime dfi(&fabric);
+  return exec::RunOnEngine([&] {
+    net::Fabric fabric;
+    fabric.AddNodes(std::max(p.num_sources, p.num_targets));
+    DfiRuntime dfi(&fabric);
 
-  std::vector<std::string> addrs;
-  for (size_t i = 0; i < fabric.node_count(); ++i) {
-    addrs.push_back(fabric.node(static_cast<net::NodeId>(i)).address());
-  }
+    std::vector<std::string> addrs;
+    for (size_t i = 0; i < fabric.node_count(); ++i) {
+      addrs.push_back(fabric.node(static_cast<net::NodeId>(i)).address());
+    }
 
-  ShuffleFlowSpec spec;
-  spec.name = "batch_prop";
-  for (uint32_t s = 0; s < p.num_sources; ++s) {
-    spec.sources.Append(Endpoint{addrs[s % addrs.size()], s});
-  }
-  for (uint32_t t = 0; t < p.num_targets; ++t) {
-    spec.targets.Append(Endpoint{addrs[t % addrs.size()], t});
-  }
-  std::vector<Field> fields{{"key", DataType::kUInt64, 0}};
-  if (p.tuple_payload > 0) {
-    fields.push_back({"pad", DataType::kChar, p.tuple_payload});
-  }
-  auto schema = Schema::Create(fields);
-  EXPECT_TRUE(schema.ok());
-  spec.schema = *schema;
-  ApplyRouting(&spec, p.routing, p.num_targets);
-  spec.options.optimization = p.opt;
-  spec.options.segment_size = p.segment_size;
-  spec.options.segments_per_ring = p.segments_per_ring;
-  EXPECT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
+    ShuffleFlowSpec spec;
+    spec.name = "batch_prop";
+    for (uint32_t s = 0; s < p.num_sources; ++s) {
+      spec.sources.Append(Endpoint{addrs[s % addrs.size()], s});
+    }
+    for (uint32_t t = 0; t < p.num_targets; ++t) {
+      spec.targets.Append(Endpoint{addrs[t % addrs.size()], t});
+    }
+    std::vector<Field> fields{{"key", DataType::kUInt64, 0}};
+    if (p.tuple_payload > 0) {
+      fields.push_back({"pad", DataType::kChar, p.tuple_payload});
+    }
+    auto schema = Schema::Create(fields);
+    EXPECT_TRUE(schema.ok());
+    spec.schema = *schema;
+    ApplyRouting(&spec, p.routing, p.num_targets);
+    spec.options.optimization = p.opt;
+    spec.options.segment_size = p.segment_size;
+    spec.options.segments_per_ring = p.segments_per_ring;
+    EXPECT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
 
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < p.num_sources; ++s) {
-    threads.emplace_back([&, s] {
-      auto source = dfi.CreateShuffleSource("batch_prop", s);
-      ASSERT_TRUE(source.ok());
-      const size_t tuple_size = (*source)->schema().tuple_size();
-      // Identical input data for both runs: a packed buffer of all of this
-      // source's tuples.
-      std::vector<uint8_t> buf(p.tuples_per_source * tuple_size, 0);
-      for (uint64_t i = 0; i < p.tuples_per_source; ++i) {
-        TupleWriter(buf.data() + i * tuple_size, &(*source)->schema())
-            .Set<uint64_t>(0, KeyOf(s, i));
-      }
-      if (batched) {
-        size_t pos = 0, cycle = 0;
-        while (pos < p.tuples_per_source) {
-          const size_t n =
-              std::min<size_t>(kBatchCycle[cycle % std::size(kBatchCycle)],
-                               p.tuples_per_source - pos);
-          ++cycle;
-          ASSERT_TRUE(
-              (*source)->PushBatch(buf.data() + pos * tuple_size, n).ok());
-          pos += n;
-        }
-      } else {
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < p.num_sources; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto source = dfi.CreateShuffleSource("batch_prop", s);
+        ASSERT_TRUE(source.ok());
+        const size_t tuple_size = (*source)->schema().tuple_size();
+        // Identical input data for both runs: a packed buffer of all of this
+        // source's tuples.
+        std::vector<uint8_t> buf(p.tuples_per_source * tuple_size, 0);
         for (uint64_t i = 0; i < p.tuples_per_source; ++i) {
-          ASSERT_TRUE((*source)->Push(buf.data() + i * tuple_size).ok());
+          TupleWriter(buf.data() + i * tuple_size, &(*source)->schema())
+              .Set<uint64_t>(0, KeyOf(s, i));
         }
-      }
-      ASSERT_TRUE((*source)->Close().ok());
-    });
-  }
+        if (batched) {
+          size_t pos = 0, cycle = 0;
+          while (pos < p.tuples_per_source) {
+            const size_t n =
+                std::min<size_t>(kBatchCycle[cycle % std::size(kBatchCycle)],
+                                 p.tuples_per_source - pos);
+            ++cycle;
+            ASSERT_TRUE(
+                (*source)->PushBatch(buf.data() + pos * tuple_size, n).ok());
+            pos += n;
+          }
+        } else {
+          for (uint64_t i = 0; i < p.tuples_per_source; ++i) {
+            ASSERT_TRUE((*source)->Push(buf.data() + i * tuple_size).ok());
+          }
+        }
+        ASSERT_TRUE((*source)->Close().ok());
+      });
+    }
 
-  std::vector<std::vector<uint64_t>> received(p.num_targets);
-  for (uint32_t t = 0; t < p.num_targets; ++t) {
-    threads.emplace_back([&, t] {
-      auto target = dfi.CreateShuffleTarget("batch_prop", t);
-      ASSERT_TRUE(target.ok());
-      TupleView tuple;
-      while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-        received[t].push_back(tuple.Get<uint64_t>(0));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  return received;
+    std::vector<std::vector<uint64_t>> received(p.num_targets);
+    for (uint32_t t = 0; t < p.num_targets; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto target = dfi.CreateShuffleTarget("batch_prop", t);
+        ASSERT_TRUE(target.ok());
+        TupleView tuple;
+        while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+          received[t].push_back(tuple.Get<uint64_t>(0));
+        }
+      });
+    }
+    actors.Join();
+    return received;
+  });
 }
 
 class BatchPushPropertyTest : public ::testing::TestWithParam<GridParam> {};

@@ -6,8 +6,8 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 
+#include "common/exec/engine.h"
 #include "core/combiner_flow.h"
 #include "core/dfi_runtime.h"
 
@@ -99,48 +99,50 @@ TEST_P(CombinerProperty, MatchesScalarReference) {
     }
   }
 
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < p.num_sources; ++s) {
-    threads.emplace_back([&, s] {
-      auto src = dfi.CreateCombinerSource("prop", s);
-      ASSERT_TRUE(src.ok());
-      struct {
-        uint64_t key;
-        int64_t value;
-      } tuple;
-      for (uint64_t i = 0; i < p.tuples_per_source; ++i) {
-        tuple.key = (s + i) % p.groups;
-        tuple.value = ValueFor(s, i);
-        ASSERT_TRUE((*src)->Push(&tuple).ok());
-      }
-      ASSERT_TRUE((*src)->Close().ok());
-    });
-  }
-  std::mutex mu;
-  std::map<uint64_t, double> measured;
-  for (uint32_t t = 0; t < p.target_threads; ++t) {
-    threads.emplace_back([&, t] {
-      auto tgt = dfi.CreateCombinerTarget("prop", t);
-      ASSERT_TRUE(tgt.ok());
-      AggRow row;
-      std::map<uint64_t, double> local;
-      while ((*tgt)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
-        local[row.group_key] = row.values[0];
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      for (auto& [k, v] : local) {
-        ASSERT_EQ(measured.count(k), 0u) << "group on two target threads";
-        measured[k] = v;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < p.num_sources; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto src = dfi.CreateCombinerSource("prop", s);
+        ASSERT_TRUE(src.ok());
+        struct {
+          uint64_t key;
+          int64_t value;
+        } tuple;
+        for (uint64_t i = 0; i < p.tuples_per_source; ++i) {
+          tuple.key = (s + i) % p.groups;
+          tuple.value = ValueFor(s, i);
+          ASSERT_TRUE((*src)->Push(&tuple).ok());
+        }
+        ASSERT_TRUE((*src)->Close().ok());
+      });
+    }
+    std::mutex mu;
+    std::map<uint64_t, double> measured;
+    for (uint32_t t = 0; t < p.target_threads; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto tgt = dfi.CreateCombinerTarget("prop", t);
+        ASSERT_TRUE(tgt.ok());
+        AggRow row;
+        std::map<uint64_t, double> local;
+        while ((*tgt)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
+          local[row.group_key] = row.values[0];
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        for (auto& [k, v] : local) {
+          ASSERT_EQ(measured.count(k), 0u) << "group on two target threads";
+          measured[k] = v;
+        }
+      });
+    }
+    actors.Join();
 
-  ASSERT_EQ(measured.size(), reference.size());
-  for (auto& [key, expected] : reference) {
-    ASSERT_TRUE(measured.count(key)) << "group " << key;
-    EXPECT_DOUBLE_EQ(measured[key], expected) << "group " << key;
-  }
+    ASSERT_EQ(measured.size(), reference.size());
+    for (auto& [key, expected] : reference) {
+      ASSERT_TRUE(measured.count(key)) << "group " << key;
+      EXPECT_DOUBLE_EQ(measured[key], expected) << "group " << key;
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

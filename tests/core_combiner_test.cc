@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 
 namespace dfi {
@@ -75,45 +75,47 @@ TEST_F(CombinerTest, MultiNodeTargetsPartitionGroups) {
 
   constexpr uint64_t kPerSource = 2048;  // multiple of kGroups: equal counts
   constexpr uint64_t kGroups = 32;
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
-      auto source = dfi_.CreateCombinerSource("agg", s);
-      ASSERT_TRUE(source.ok());
-      for (uint64_t i = 0; i < kPerSource; ++i) {
-        Kv kv{i % kGroups, 2};
-        ASSERT_TRUE((*source)->Push(&kv).ok());
-      }
-      ASSERT_TRUE((*source)->Close().ok());
-    });
-  }
-  std::mutex mu;
-  std::map<uint64_t, AggRow> rows;
-  for (uint32_t t = 0; t < 2; ++t) {
-    threads.emplace_back([&, t] {
-      auto target = dfi_.CreateCombinerTarget("agg", t);
-      ASSERT_TRUE(target.ok());
-      AggRow row;
-      std::map<uint64_t, AggRow> local;
-      while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
-        // Group keys are hash-partitioned across the target threads exactly
-        // as in the single-node case.
-        ASSERT_EQ(HashU64(row.group_key) % 2, t);
-        local[row.group_key] = row;
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      for (auto& [k, r] : local) {
-        ASSERT_EQ(rows.count(k), 0u) << "group seen by two targets";
-        rows[k] = r;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  ASSERT_EQ(rows.size(), kGroups);
-  for (auto& [key, row] : rows) {
-    EXPECT_DOUBLE_EQ(row.values[0], 2.0 * 2 * kPerSource / kGroups);
-    EXPECT_DOUBLE_EQ(row.values[1], 2.0 * kPerSource / kGroups);
-  }
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < 2; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto source = dfi_.CreateCombinerSource("agg", s);
+        ASSERT_TRUE(source.ok());
+        for (uint64_t i = 0; i < kPerSource; ++i) {
+          Kv kv{i % kGroups, 2};
+          ASSERT_TRUE((*source)->Push(&kv).ok());
+        }
+        ASSERT_TRUE((*source)->Close().ok());
+      });
+    }
+    std::mutex mu;
+    std::map<uint64_t, AggRow> rows;
+    for (uint32_t t = 0; t < 2; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto target = dfi_.CreateCombinerTarget("agg", t);
+        ASSERT_TRUE(target.ok());
+        AggRow row;
+        std::map<uint64_t, AggRow> local;
+        while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
+          // Group keys are hash-partitioned across the target threads exactly
+          // as in the single-node case.
+          ASSERT_EQ(HashU64(row.group_key) % 2, t);
+          local[row.group_key] = row;
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        for (auto& [k, r] : local) {
+          ASSERT_EQ(rows.count(k), 0u) << "group seen by two targets";
+          rows[k] = r;
+        }
+      });
+    }
+    actors.Join();
+    ASSERT_EQ(rows.size(), kGroups);
+    for (auto& [key, row] : rows) {
+      EXPECT_DOUBLE_EQ(row.values[0], 2.0 * 2 * kPerSource / kGroups);
+      EXPECT_DOUBLE_EQ(row.values[1], 2.0 * kPerSource / kGroups);
+    }
+  });
 }
 
 TEST_F(CombinerTest, SumGroupByMatchesReference) {
@@ -127,75 +129,79 @@ TEST_F(CombinerTest, SumGroupByMatchesReference) {
   std::map<uint64_t, double> ref_count;
   std::mutex ref_mu;
 
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < 4; ++s) {
-    threads.emplace_back([&, s] {
-      auto source = dfi_.CreateCombinerSource("agg", s);
-      ASSERT_TRUE(source.ok());
-      std::map<uint64_t, double> local_sum, local_count;
-      for (uint64_t i = 0; i < kPerSource; ++i) {
-        Kv kv{(s + i) % kGroups, static_cast<int64_t>(i % 100) - 50};
-        local_sum[kv.key] += static_cast<double>(kv.value);
-        local_count[kv.key] += 1;
-        ASSERT_TRUE((*source)->Push(&kv).ok());
-      }
-      ASSERT_TRUE((*source)->Close().ok());
-      std::lock_guard<std::mutex> lock(ref_mu);
-      for (auto& [k, v] : local_sum) ref_sum[k] += v;
-      for (auto& [k, v] : local_count) ref_count[k] += v;
-    });
-  }
-
-  std::map<uint64_t, AggRow> rows;
-  threads.emplace_back([&] {
-    auto target = dfi_.CreateCombinerTarget("agg", 0);
-    ASSERT_TRUE(target.ok());
-    AggRow row;
-    while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
-      rows[row.group_key] = row;
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < 4; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto source = dfi_.CreateCombinerSource("agg", s);
+        ASSERT_TRUE(source.ok());
+        std::map<uint64_t, double> local_sum, local_count;
+        for (uint64_t i = 0; i < kPerSource; ++i) {
+          Kv kv{(s + i) % kGroups, static_cast<int64_t>(i % 100) - 50};
+          local_sum[kv.key] += static_cast<double>(kv.value);
+          local_count[kv.key] += 1;
+          ASSERT_TRUE((*source)->Push(&kv).ok());
+        }
+        ASSERT_TRUE((*source)->Close().ok());
+        std::lock_guard<std::mutex> lock(ref_mu);
+        for (auto& [k, v] : local_sum) ref_sum[k] += v;
+        for (auto& [k, v] : local_count) ref_count[k] += v;
+      });
     }
-    EXPECT_EQ((*target)->tuples_aggregated(), 4 * kPerSource);
-  });
-  for (auto& th : threads) th.join();
 
-  ASSERT_EQ(rows.size(), kGroups);
-  for (auto& [key, row] : rows) {
-    EXPECT_DOUBLE_EQ(row.values[0], ref_sum[key]) << "group " << key;
-    EXPECT_DOUBLE_EQ(row.values[1], ref_count[key]) << "group " << key;
-  }
+    std::map<uint64_t, AggRow> rows;
+    actors.Spawn("target", [&] {
+      auto target = dfi_.CreateCombinerTarget("agg", 0);
+      ASSERT_TRUE(target.ok());
+      AggRow row;
+      while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
+        rows[row.group_key] = row;
+      }
+      EXPECT_EQ((*target)->tuples_aggregated(), 4 * kPerSource);
+    });
+    actors.Join();
+
+    ASSERT_EQ(rows.size(), kGroups);
+    for (auto& [key, row] : rows) {
+      EXPECT_DOUBLE_EQ(row.values[0], ref_sum[key]) << "group " << key;
+      EXPECT_DOUBLE_EQ(row.values[1], ref_count[key]) << "group " << key;
+    }
+  });
 }
 
 TEST_F(CombinerTest, MinMaxAggregates) {
   auto spec = BaseSpec(2, 1);
   spec.aggregates = {{AggFunc::kMin, 1}, {AggFunc::kMax, 1}};
   ASSERT_TRUE(dfi_.InitCombinerFlow(std::move(spec)).ok());
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
-      auto source = dfi_.CreateCombinerSource("agg", s);
-      for (int64_t i = 0; i < 1000; ++i) {
-        Kv kv{static_cast<uint64_t>(i % 5),
-              s == 0 ? i : -i};  // source 1 pushes negatives
-        ASSERT_TRUE((*source)->Push(&kv).ok());
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < 2; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto source = dfi_.CreateCombinerSource("agg", s);
+        for (int64_t i = 0; i < 1000; ++i) {
+          Kv kv{static_cast<uint64_t>(i % 5),
+                s == 0 ? i : -i};  // source 1 pushes negatives
+          ASSERT_TRUE((*source)->Push(&kv).ok());
+        }
+        ASSERT_TRUE((*source)->Close().ok());
+      });
+    }
+    std::map<uint64_t, AggRow> rows;
+    actors.Spawn("target", [&] {
+      auto target = dfi_.CreateCombinerTarget("agg", 0);
+      AggRow row;
+      while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
+        rows[row.group_key] = row;
       }
-      ASSERT_TRUE((*source)->Close().ok());
     });
-  }
-  std::map<uint64_t, AggRow> rows;
-  threads.emplace_back([&] {
-    auto target = dfi_.CreateCombinerTarget("agg", 0);
-    AggRow row;
-    while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
-      rows[row.group_key] = row;
+    actors.Join();
+    ASSERT_EQ(rows.size(), 5u);
+    for (auto& [key, row] : rows) {
+      // Keys k, k+5, ..., k+995: min is -(max positive) and max is positive.
+      EXPECT_LE(row.values[0], -990.0);
+      EXPECT_GE(row.values[1], 990.0);
     }
   });
-  for (auto& th : threads) th.join();
-  ASSERT_EQ(rows.size(), 5u);
-  for (auto& [key, row] : rows) {
-    // Keys k, k+5, ..., k+995: min is -(max positive) and max is positive.
-    EXPECT_LE(row.values[0], -990.0);
-    EXPECT_GE(row.values[1], 990.0);
-  }
 }
 
 TEST_F(CombinerTest, MultiThreadedTargetPartitionsGroups) {
@@ -203,42 +209,44 @@ TEST_F(CombinerTest, MultiThreadedTargetPartitionsGroups) {
   spec.aggregates = {{AggFunc::kCount, 0}};
   ASSERT_TRUE(dfi_.InitCombinerFlow(std::move(spec)).ok());
   constexpr uint64_t kGroups = 64;
-  constexpr uint64_t kPerSource = 2048;  // multiple of kGroups: equal counts
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
-      auto source = dfi_.CreateCombinerSource("agg", s);
-      for (uint64_t i = 0; i < kPerSource; ++i) {
-        Kv kv{i % kGroups, 1};
-        ASSERT_TRUE((*source)->Push(&kv).ok());
-      }
-      ASSERT_TRUE((*source)->Close().ok());
-    });
-  }
-  std::mutex mu;
-  std::map<uint64_t, double> counts;
-  for (uint32_t t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      auto target = dfi_.CreateCombinerTarget("agg", t);
-      AggRow row;
-      std::map<uint64_t, double> local;
-      while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
-        // Group keys are hash-partitioned across target threads.
-        ASSERT_EQ(HashU64(row.group_key) % 4, t);
-        local[row.group_key] = row.values[0];
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      for (auto& [k, v] : local) {
-        ASSERT_EQ(counts.count(k), 0u) << "group seen by two targets";
-        counts[k] = v;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  ASSERT_EQ(counts.size(), kGroups);
-  for (auto& [k, v] : counts) {
-    EXPECT_DOUBLE_EQ(v, 2.0 * kPerSource / kGroups);
-  }
+  exec::RunOnEngine([&] {
+    constexpr uint64_t kPerSource = 2048;  // multiple of kGroups: equal counts
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < 2; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto source = dfi_.CreateCombinerSource("agg", s);
+        for (uint64_t i = 0; i < kPerSource; ++i) {
+          Kv kv{i % kGroups, 1};
+          ASSERT_TRUE((*source)->Push(&kv).ok());
+        }
+        ASSERT_TRUE((*source)->Close().ok());
+      });
+    }
+    std::mutex mu;
+    std::map<uint64_t, double> counts;
+    for (uint32_t t = 0; t < 4; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto target = dfi_.CreateCombinerTarget("agg", t);
+        AggRow row;
+        std::map<uint64_t, double> local;
+        while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
+          // Group keys are hash-partitioned across target threads.
+          ASSERT_EQ(HashU64(row.group_key) % 4, t);
+          local[row.group_key] = row.values[0];
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        for (auto& [k, v] : local) {
+          ASSERT_EQ(counts.count(k), 0u) << "group seen by two targets";
+          counts[k] = v;
+        }
+      });
+    }
+    actors.Join();
+    ASSERT_EQ(counts.size(), kGroups);
+    for (auto& [k, v] : counts) {
+      EXPECT_DOUBLE_EQ(v, 2.0 * kPerSource / kGroups);
+    }
+  });
 }
 
 TEST_F(CombinerTest, GlobalAggregatePartialsSumUp) {
@@ -246,33 +254,35 @@ TEST_F(CombinerTest, GlobalAggregatePartialsSumUp) {
   spec.global_aggregate = true;
   spec.aggregates = {{AggFunc::kSum, 1}};
   ASSERT_TRUE(dfi_.InitCombinerFlow(std::move(spec)).ok());
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
-      auto source = dfi_.CreateCombinerSource("agg", s);
-      for (int64_t i = 1; i <= 1000; ++i) {
-        Kv kv{0, i};
-        ASSERT_TRUE((*source)->Push(&kv).ok());
-      }
-      ASSERT_TRUE((*source)->Close().ok());
-    });
-  }
-  std::atomic<double> total{0};
-  for (uint32_t t = 0; t < 2; ++t) {
-    threads.emplace_back([&, t] {
-      auto target = dfi_.CreateCombinerTarget("agg", t);
-      AggRow row;
-      double partial = 0;
-      while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
-        partial += row.values[0];
-      }
-      double expected = total.load();
-      while (!total.compare_exchange_weak(expected, expected + partial)) {
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_DOUBLE_EQ(total.load(), 2.0 * 1000 * 1001 / 2);
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < 2; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto source = dfi_.CreateCombinerSource("agg", s);
+        for (int64_t i = 1; i <= 1000; ++i) {
+          Kv kv{0, i};
+          ASSERT_TRUE((*source)->Push(&kv).ok());
+        }
+        ASSERT_TRUE((*source)->Close().ok());
+      });
+    }
+    std::atomic<double> total{0};
+    for (uint32_t t = 0; t < 2; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto target = dfi_.CreateCombinerTarget("agg", t);
+        AggRow row;
+        double partial = 0;
+        while ((*target)->ConsumeAggregate(&row) != ConsumeResult::kFlowEnd) {
+          partial += row.values[0];
+        }
+        double expected = total.load();
+        while (!total.compare_exchange_weak(expected, expected + partial)) {
+        }
+      });
+    }
+    actors.Join();
+    EXPECT_DOUBLE_EQ(total.load(), 2.0 * 1000 * 1001 / 2);
+  });
 }
 
 }  // namespace

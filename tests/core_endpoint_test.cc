@@ -7,11 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
-#include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
+#include "common/units.h"
 #include "core/endpoint/flow_sink.h"
 #include "core/endpoint/policies.h"
 #include "net/fabric.h"
@@ -66,44 +66,47 @@ TEST_F(EndpointTest, RingWrapAroundPreservesOrder) {
   options.source_segments = 2;     // staging ring wraps every 2
   ChannelMatrix matrix = MakeMatrix(options);
 
-  constexpr uint64_t kTuples = 16 * 4 * 8;  // 8 full target-ring laps
-  std::thread producer([&] {
-    VirtualClock clock;
-    FlowEndpoint endpoint(&matrix, /*source_index=*/0,
-                          env_.context(nodes_[0]), &clock);
-    Partitioner single = Partitioner::Single();
-    for (uint64_t i = 0; i < kTuples; ++i) {
-      Rec rec{i, ~i};
-      ASSERT_TRUE(endpoint.Push(&rec, &single).ok());
-    }
-    ASSERT_TRUE(endpoint.Close().ok());
-    // Bandwidth mode pipelines one footer prefetch per transmitted segment
-    // (plus polls while blocked on a full ring).
-    EXPECT_GT(endpoint.channel(0)->segments_sent(),
-              uint64_t{options.segments_per_ring});
-    EXPECT_GE(endpoint.channel(0)->footer_reads(),
-              endpoint.channel(0)->segments_sent());
-  });
+  exec::RunOnEngine([&] {
+    constexpr uint64_t kTuples = 16 * 4 * 8;  // 8 full target-ring laps
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      VirtualClock clock;
+      FlowEndpoint endpoint(&matrix, /*source_index=*/0,
+                            env_.context(nodes_[0]), &clock);
+      Partitioner single = Partitioner::Single();
+      for (uint64_t i = 0; i < kTuples; ++i) {
+        Rec rec{i, ~i};
+        ASSERT_TRUE(endpoint.Push(&rec, &single).ok());
+      }
+      ASSERT_TRUE(endpoint.Close().ok());
+      // Bandwidth mode pipelines one footer prefetch per transmitted segment
+      // (plus polls while blocked on a full ring).
+      EXPECT_GT(endpoint.channel(0)->segments_sent(),
+                uint64_t{options.segments_per_ring});
+      EXPECT_GE(endpoint.channel(0)->footer_reads(),
+                endpoint.channel(0)->segments_sent());
+    });
 
-  VirtualClock clock;
-  FlowSink sink = MakeSink(&matrix, &clock);
-  uint64_t next = 0;
-  SegmentView view;
-  for (;;) {
-    ConsumeResult r = sink.ConsumeSegment(&view);
-    if (r == ConsumeResult::kFlowEnd) break;
-    ASSERT_EQ(r, ConsumeResult::kOk) << sink.last_status();
-    ASSERT_EQ(view.bytes % kTupleSize, 0u);
-    for (uint32_t off = 0; off < view.bytes; off += kTupleSize) {
-      Rec rec;
-      std::memcpy(&rec, view.payload + off, sizeof(rec));
-      ASSERT_EQ(rec.seq, next) << "tuple order broken across ring wrap";
-      ASSERT_EQ(rec.payload, ~next);
-      ++next;
+    VirtualClock clock;
+    FlowSink sink = MakeSink(&matrix, &clock);
+    uint64_t next = 0;
+    SegmentView view;
+    for (;;) {
+      ConsumeResult r = sink.ConsumeSegment(&view);
+      if (r == ConsumeResult::kFlowEnd) break;
+      ASSERT_EQ(r, ConsumeResult::kOk) << sink.last_status();
+      ASSERT_EQ(view.bytes % kTupleSize, 0u);
+      for (uint32_t off = 0; off < view.bytes; off += kTupleSize) {
+        Rec rec;
+        std::memcpy(&rec, view.payload + off, sizeof(rec));
+        ASSERT_EQ(rec.seq, next) << "tuple order broken across ring wrap";
+        ASSERT_EQ(rec.payload, ~next);
+        ++next;
+      }
     }
-  }
-  producer.join();
-  EXPECT_EQ(next, kTuples);
+    producer.Join();
+    EXPECT_EQ(next, kTuples);
+  });
 }
 
 // Per-tuple consume path across a wrapping ring (iteration state inside the
@@ -115,28 +118,31 @@ TEST_F(EndpointTest, TupleConsumeAcrossWrap) {
   ChannelMatrix matrix = MakeMatrix(options);
 
   constexpr uint64_t kTuples = 8 * 2 * 5;
-  std::thread producer([&] {
-    VirtualClock clock;
-    FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]), &clock);
-    for (uint64_t i = 0; i < kTuples; ++i) {
-      Rec rec{i, i * 3};
-      ASSERT_TRUE(endpoint.PushTo(&rec, 0).ok());
-    }
-    ASSERT_TRUE(endpoint.Close().ok());
-  });
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      VirtualClock clock;
+      FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]), &clock);
+      for (uint64_t i = 0; i < kTuples; ++i) {
+        Rec rec{i, i * 3};
+        ASSERT_TRUE(endpoint.PushTo(&rec, 0).ok());
+      }
+      ASSERT_TRUE(endpoint.Close().ok());
+    });
 
-  VirtualClock clock;
-  FlowSink sink = MakeSink(&matrix, &clock);
-  TupleView tuple;
-  uint64_t next = 0;
-  while (sink.Consume(&tuple) == ConsumeResult::kOk) {
-    ASSERT_EQ(tuple.Get<uint64_t>(0), next);
-    ASSERT_EQ(tuple.Get<uint64_t>(1), next * 3);
-    ++next;
-  }
-  producer.join();
-  EXPECT_EQ(next, kTuples);
-  EXPECT_TRUE(sink.last_status().ok());
+    VirtualClock clock;
+    FlowSink sink = MakeSink(&matrix, &clock);
+    TupleView tuple;
+    uint64_t next = 0;
+    while (sink.Consume(&tuple) == ConsumeResult::kOk) {
+      ASSERT_EQ(tuple.Get<uint64_t>(0), next);
+      ASSERT_EQ(tuple.Get<uint64_t>(1), next * 3);
+      ++next;
+    }
+    producer.Join();
+    EXPECT_EQ(next, kTuples);
+    EXPECT_TRUE(sink.last_status().ok());
+  });
 }
 
 // A source facing a full remote ring with no consumer must not hang: the
@@ -207,28 +213,29 @@ TEST_F(EndpointTest, AbortPropagatesSinkToSource) {
 
   std::atomic<bool> blocked{false};
   Status push_status = Status::OK();
-  std::thread producer([&] {
-    VirtualClock clock;
-    FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]), &clock);
-    for (uint64_t i = 0; i < 64; ++i) {
-      Rec rec{i, 0};
-      // Enough pushes to fill the remote ring; with nobody consuming the
-      // transmit blocks until the abort below tears the channel down.
-      blocked.store(i >= 8, std::memory_order_relaxed);
-      push_status = endpoint.PushTo(&rec, 0);
-      if (!push_status.ok()) return;
-    }
-  });
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      VirtualClock clock;
+      FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]), &clock);
+      for (uint64_t i = 0; i < 64; ++i) {
+        Rec rec{i, 0};
+        // Enough pushes to fill the remote ring; with nobody consuming the
+        // transmit blocks until the abort below tears the channel down.
+        blocked.store(i >= 8, std::memory_order_relaxed);
+        push_status = endpoint.PushTo(&rec, 0);
+        if (!push_status.ok()) return;
+      }
+    });
 
-  VirtualClock clock;
-  FlowSink sink = MakeSink(&matrix, &clock);
-  while (!blocked.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  sink.Abort(Status::Aborted("target failed"));
-  producer.join();
-  EXPECT_EQ(push_status.code(), StatusCode::kAborted) << push_status;
+    VirtualClock clock;
+    FlowSink sink = MakeSink(&matrix, &clock);
+    exec::Engine::Yield(kSecond);  // the producer runs until it parks
+    EXPECT_TRUE(blocked.load(std::memory_order_relaxed));
+    sink.Abort(Status::Aborted("target failed"));
+    producer.Join();
+    EXPECT_EQ(push_status.code(), StatusCode::kAborted) << push_status;
+  });
 }
 
 // A tripped flow-level AbortLatch (replicate-style flow-granular teardown)
@@ -240,16 +247,19 @@ TEST_F(EndpointTest, FlowAbortLatchUnblocksSink) {
 
   VirtualClock clock;
   FlowSink sink = MakeSink(&matrix, &clock, &latch);
-  std::thread aborter([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    latch.Trip(Status::PeerFailed("sibling target crashed"));
-    matrix.PoisonAll(latch.status());  // wake the gate, as flows do
+  exec::RunOnEngine([&] {
+    exec::ActorGroup aborter;
+    // Runs once the sink below has parked.
+    aborter.Spawn("aborter", [&] {
+      latch.Trip(Status::PeerFailed("sibling target crashed"));
+      matrix.PoisonAll(latch.status());  // wake the gate, as flows do
+    });
+    SegmentView view;
+    EXPECT_EQ(sink.ConsumeSegment(&view), ConsumeResult::kError);
+    EXPECT_EQ(sink.last_status().code(), StatusCode::kPeerFailed)
+        << sink.last_status();
+    aborter.Join();
   });
-  SegmentView view;
-  EXPECT_EQ(sink.ConsumeSegment(&view), ConsumeResult::kError);
-  EXPECT_EQ(sink.last_status().code(), StatusCode::kPeerFailed)
-      << sink.last_status();
-  aborter.join();
 }
 
 // AbortLatch semantics the flows rely on: first cause wins, OK causes are

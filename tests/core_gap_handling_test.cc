@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
 
+#include "common/exec/engine.h"
 #include "common/units.h"
 #include "core/dfi_runtime.h"
 #include "core/replicate_flow.h"
@@ -45,77 +45,83 @@ class GapHandlingTest : public ::testing::Test {
 
 TEST_F(GapHandlingTest, NoGapsWithoutLoss) {
   Init(0.0, 1);
-  std::thread producer([&] {
-    auto src = dfi_->CreateReplicateSource("gap", 0);
-    for (uint64_t k = 0; k < 200; ++k) {
-      ASSERT_TRUE((*src)->Push(&k).ok());
-    }
-    ASSERT_TRUE((*src)->Close().ok());
-  });
-  std::vector<std::thread> consumers;
-  for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
-      auto tgt = dfi_->CreateReplicateTarget("gap", t);
-      uint64_t count = 0;
-      SegmentView seg;
-      ConsumeResult r;
-      while ((r = (*tgt)->ConsumeSegment(&seg)) != ConsumeResult::kFlowEnd) {
-        ASSERT_NE(r, ConsumeResult::kGap) << "no loss -> no gaps";
-        ++count;
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      auto src = dfi_->CreateReplicateSource("gap", 0);
+      for (uint64_t k = 0; k < 200; ++k) {
+        ASSERT_TRUE((*src)->Push(&k).ok());
       }
-      EXPECT_EQ(count, 200u);
+      ASSERT_TRUE((*src)->Close().ok());
     });
-  }
-  producer.join();
-  for (auto& th : consumers) th.join();
+    exec::ActorGroup consumers;
+    for (uint32_t t = 0; t < 2; ++t) {
+      consumers.Spawn("target", [&, t] {
+        auto tgt = dfi_->CreateReplicateTarget("gap", t);
+        uint64_t count = 0;
+        SegmentView seg;
+        ConsumeResult r;
+        while ((r = (*tgt)->ConsumeSegment(&seg)) != ConsumeResult::kFlowEnd) {
+          ASSERT_NE(r, ConsumeResult::kGap) << "no loss -> no gaps";
+          ++count;
+        }
+        EXPECT_EQ(count, 200u);
+      });
+    }
+    producer.Join();
+    consumers.Join();
+  });
 }
 
 TEST_F(GapHandlingTest, GapsSurfacedAndSkippable) {
   Init(0.15, 7);
-  std::thread producer([&] {
-    auto src = dfi_->CreateReplicateSource("gap", 0);
-    for (uint64_t k = 0; k < 150; ++k) {
-      ASSERT_TRUE((*src)->Push(&k).ok());
-    }
-    ASSERT_TRUE((*src)->Close().ok());
-  });
-  std::vector<uint64_t> gaps_seen(2, 0);
-  std::vector<uint64_t> delivered(2, 0);
-  std::vector<std::thread> consumers;
-  for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
-      auto tgt = dfi_->CreateReplicateTarget("gap", t);
-      SegmentView seg;
-      uint64_t last_seq = 0;
-      bool first = true;
-      // In app-handled-gap mode the application also owns termination (the
-      // end marker itself may be lost): stop once all 150 data sequences
-      // were either delivered or explicitly skipped.
-      while (delivered[t] + gaps_seen[t] < 150) {
-        const ConsumeResult r = (*tgt)->ConsumeSegment(&seg);
-        ASSERT_NE(r, ConsumeResult::kFlowEnd);
-        if (r == ConsumeResult::kGap) {
-          // The application decides: treat the lost sequence as a no-op.
-          ++gaps_seen[t];
-          (*tgt)->SkipGap();
-          continue;
-        }
-        if (!first) {
-          EXPECT_GT(seg.sequence, last_seq) << "order must still hold";
-        }
-        first = false;
-        last_seq = seg.sequence;
-        ++delivered[t];
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      auto src = dfi_->CreateReplicateSource("gap", 0);
+      for (uint64_t k = 0; k < 150; ++k) {
+        ASSERT_TRUE((*src)->Push(&k).ok());
       }
+      ASSERT_TRUE((*src)->Close().ok());
     });
-  }
-  producer.join();
-  for (auto& th : consumers) th.join();
-  for (uint32_t t = 0; t < 2; ++t) {
-    EXPECT_GT(gaps_seen[t], 0u) << "15% loss must surface gaps";
-    EXPECT_EQ(delivered[t] + gaps_seen[t], 150u)
-        << "every data sequence either delivered or explicitly skipped";
-  }
+    std::vector<uint64_t> gaps_seen(2, 0);
+    std::vector<uint64_t> delivered(2, 0);
+    exec::ActorGroup consumers;
+    for (uint32_t t = 0; t < 2; ++t) {
+      consumers.Spawn("target", [&, t] {
+        auto tgt = dfi_->CreateReplicateTarget("gap", t);
+        SegmentView seg;
+        uint64_t last_seq = 0;
+        bool first = true;
+        // In app-handled-gap mode the application also owns termination (the
+        // end marker itself may be lost): stop once all 150 data sequences
+        // were either delivered or explicitly skipped.
+        while (delivered[t] + gaps_seen[t] < 150) {
+          const ConsumeResult r = (*tgt)->ConsumeSegment(&seg);
+          ASSERT_NE(r, ConsumeResult::kFlowEnd);
+          if (r == ConsumeResult::kGap) {
+            // The application decides: treat the lost sequence as a no-op.
+            ++gaps_seen[t];
+            (*tgt)->SkipGap();
+            continue;
+          }
+          if (!first) {
+            EXPECT_GT(seg.sequence, last_seq) << "order must still hold";
+          }
+          first = false;
+          last_seq = seg.sequence;
+          ++delivered[t];
+        }
+      });
+    }
+    producer.Join();
+    consumers.Join();
+    for (uint32_t t = 0; t < 2; ++t) {
+      EXPECT_GT(gaps_seen[t], 0u) << "15% loss must surface gaps";
+      EXPECT_EQ(delivered[t] + gaps_seen[t], 150u)
+          << "every data sequence either delivered or explicitly skipped";
+    }
+  });
 }
 
 // Robustness PR: bursty loss scripted through the FaultPlan (no base loss
@@ -129,86 +135,92 @@ TEST_F(GapHandlingTest, BurstyFaultPlanLossWithReorderStaysOrdered) {
   fabric_->fault_plan().LossBurst(0, 50 * kMicrosecond, 0.2);
   fabric_->fault_plan().LossBurst(100 * kMicrosecond, kSecond, 0.15);
   constexpr uint64_t kMessages = 250;
-  std::thread producer([&] {
-    auto src = dfi_->CreateReplicateSource("gap", 0);
-    for (uint64_t k = 0; k < kMessages; ++k) {
-      ASSERT_TRUE((*src)->Push(&k).ok());
-    }
-    ASSERT_TRUE((*src)->Close().ok());
-  });
-  std::vector<uint64_t> gaps_seen(2, 0);
-  std::vector<std::thread> consumers;
-  for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
-      auto tgt = dfi_->CreateReplicateTarget("gap", t);
-      SegmentView seg;
-      uint64_t delivered = 0;
-      uint64_t last_seq = 0;
-      bool first = true;
-      while (delivered + gaps_seen[t] < kMessages) {
-        const ConsumeResult r = (*tgt)->ConsumeSegment(&seg);
-        ASSERT_NE(r, ConsumeResult::kFlowEnd);
-        ASSERT_NE(r, ConsumeResult::kError);
-        if (r == ConsumeResult::kGap) {
-          ++gaps_seen[t];
-          (*tgt)->SkipGap();
-          continue;
-        }
-        if (!first) {
-          ASSERT_GT(seg.sequence, last_seq)
-              << "loss bursts + reorder must not break ordering";
-        }
-        first = false;
-        last_seq = seg.sequence;
-        ++delivered;
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      auto src = dfi_->CreateReplicateSource("gap", 0);
+      for (uint64_t k = 0; k < kMessages; ++k) {
+        ASSERT_TRUE((*src)->Push(&k).ok());
       }
-      EXPECT_EQ(delivered + gaps_seen[t], kMessages);
+      ASSERT_TRUE((*src)->Close().ok());
     });
-  }
-  producer.join();
-  for (auto& th : consumers) th.join();
-  for (uint32_t t = 0; t < 2; ++t) {
-    EXPECT_GT(gaps_seen[t], 0u)
-        << "the scripted loss bursts must surface gaps";
-  }
+    std::vector<uint64_t> gaps_seen(2, 0);
+    exec::ActorGroup consumers;
+    for (uint32_t t = 0; t < 2; ++t) {
+      consumers.Spawn("target", [&, t] {
+        auto tgt = dfi_->CreateReplicateTarget("gap", t);
+        SegmentView seg;
+        uint64_t delivered = 0;
+        uint64_t last_seq = 0;
+        bool first = true;
+        while (delivered + gaps_seen[t] < kMessages) {
+          const ConsumeResult r = (*tgt)->ConsumeSegment(&seg);
+          ASSERT_NE(r, ConsumeResult::kFlowEnd);
+          ASSERT_NE(r, ConsumeResult::kError);
+          if (r == ConsumeResult::kGap) {
+            ++gaps_seen[t];
+            (*tgt)->SkipGap();
+            continue;
+          }
+          if (!first) {
+            ASSERT_GT(seg.sequence, last_seq)
+                << "loss bursts + reorder must not break ordering";
+          }
+          first = false;
+          last_seq = seg.sequence;
+          ++delivered;
+        }
+        EXPECT_EQ(delivered + gaps_seen[t], kMessages);
+      });
+    }
+    producer.Join();
+    consumers.Join();
+    for (uint32_t t = 0; t < 2; ++t) {
+      EXPECT_GT(gaps_seen[t], 0u)
+          << "the scripted loss bursts must surface gaps";
+    }
+  });
 }
 
 TEST_F(GapHandlingTest, SupplyGapInjectsRecoveredContent) {
   Init(0.15, 21);
-  std::thread producer([&] {
-    auto src = dfi_->CreateReplicateSource("gap", 0);
-    for (uint64_t k = 0; k < 120; ++k) {
-      ASSERT_TRUE((*src)->Push(&k).ok());
-    }
-    ASSERT_TRUE((*src)->Close().ok());
-  });
-  std::vector<std::thread> consumers;
-  for (uint32_t t = 0; t < 2; ++t) {
-    consumers.emplace_back([&, t] {
-      auto tgt = dfi_->CreateReplicateTarget("gap", t);
-      SegmentView seg;
-      uint64_t total = 0;
-      uint64_t recovered_count = 0;
-      while (total < 120) {
-        const ConsumeResult r = (*tgt)->ConsumeSegment(&seg);
-        ASSERT_NE(r, ConsumeResult::kFlowEnd);
-        if (r == ConsumeResult::kGap) {
-          // The application "recovered" the content out of band (in
-          // NOPaxos: from the leader) and supplies it; the flow then
-          // delivers it in sequence like any other segment.
-          const uint64_t recovered = 0xDEAD0000 + seg.sequence;
-          (*tgt)->SupplyGap(&recovered, sizeof(recovered));
-          ++recovered_count;
-          continue;
-        }
-        ++total;
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      auto src = dfi_->CreateReplicateSource("gap", 0);
+      for (uint64_t k = 0; k < 120; ++k) {
+        ASSERT_TRUE((*src)->Push(&k).ok());
       }
-      EXPECT_EQ(total, 120u);
-      EXPECT_GT(recovered_count, 0u) << "15% loss must recover something";
+      ASSERT_TRUE((*src)->Close().ok());
     });
-  }
-  producer.join();
-  for (auto& th : consumers) th.join();
+    exec::ActorGroup consumers;
+    for (uint32_t t = 0; t < 2; ++t) {
+      consumers.Spawn("target", [&, t] {
+        auto tgt = dfi_->CreateReplicateTarget("gap", t);
+        SegmentView seg;
+        uint64_t total = 0;
+        uint64_t recovered_count = 0;
+        while (total < 120) {
+          const ConsumeResult r = (*tgt)->ConsumeSegment(&seg);
+          ASSERT_NE(r, ConsumeResult::kFlowEnd);
+          if (r == ConsumeResult::kGap) {
+            // The application "recovered" the content out of band (in
+            // NOPaxos: from the leader) and supplies it; the flow then
+            // delivers it in sequence like any other segment.
+            const uint64_t recovered = 0xDEAD0000 + seg.sequence;
+            (*tgt)->SupplyGap(&recovered, sizeof(recovered));
+            ++recovered_count;
+            continue;
+          }
+          ++total;
+        }
+        EXPECT_EQ(total, 120u);
+        EXPECT_GT(recovered_count, 0u) << "15% loss must recover something";
+      });
+    }
+    producer.Join();
+    consumers.Join();
+  });
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 #include "core/replicate_flow.h"
 
@@ -60,43 +60,45 @@ TEST_P(OrderedReplicateProperty, ExactlyOnceIdenticalOrder) {
   spec.options.optimization = p.opt;
   ASSERT_TRUE(dfi.InitReplicateFlow(std::move(spec)).ok());
 
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < p.num_sources; ++s) {
-    threads.emplace_back([&, s] {
-      auto src = dfi.CreateReplicateSource("oum", s);
-      ASSERT_TRUE(src.ok());
-      for (uint64_t i = 0; i < p.tuples_per_source; ++i) {
-        const uint64_t key = s * p.tuples_per_source + i;
-        ASSERT_TRUE((*src)->Push(&key).ok());
-      }
-      ASSERT_TRUE((*src)->Close().ok());
-    });
-  }
-  std::vector<std::vector<uint64_t>> observed(p.num_targets);
-  for (uint32_t t = 0; t < p.num_targets; ++t) {
-    threads.emplace_back([&, t] {
-      auto tgt = dfi.CreateReplicateTarget("oum", t);
-      ASSERT_TRUE(tgt.ok());
-      TupleView tuple;
-      while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-        observed[t].push_back(tuple.Get<uint64_t>(0));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < p.num_sources; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto src = dfi.CreateReplicateSource("oum", s);
+        ASSERT_TRUE(src.ok());
+        for (uint64_t i = 0; i < p.tuples_per_source; ++i) {
+          const uint64_t key = s * p.tuples_per_source + i;
+          ASSERT_TRUE((*src)->Push(&key).ok());
+        }
+        ASSERT_TRUE((*src)->Close().ok());
+      });
+    }
+    std::vector<std::vector<uint64_t>> observed(p.num_targets);
+    for (uint32_t t = 0; t < p.num_targets; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto tgt = dfi.CreateReplicateTarget("oum", t);
+        ASSERT_TRUE(tgt.ok());
+        TupleView tuple;
+        while ((*tgt)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+          observed[t].push_back(tuple.Get<uint64_t>(0));
+        }
+      });
+    }
+    actors.Join();
 
-  const uint64_t total = p.num_sources * p.tuples_per_source;
-  for (uint32_t t = 0; t < p.num_targets; ++t) {
-    ASSERT_EQ(observed[t].size(), total) << "target " << t;
-    EXPECT_EQ(observed[t], observed[0])
-        << "target " << t << " diverged from target 0";
-  }
-  // Exactly once: the multiset of keys is the full range.
-  std::vector<uint64_t> sorted = observed[0];
-  std::sort(sorted.begin(), sorted.end());
-  for (uint64_t i = 0; i < total; ++i) {
-    ASSERT_EQ(sorted[i], i);
-  }
+    const uint64_t total = p.num_sources * p.tuples_per_source;
+    for (uint32_t t = 0; t < p.num_targets; ++t) {
+      ASSERT_EQ(observed[t].size(), total) << "target " << t;
+      EXPECT_EQ(observed[t], observed[0])
+          << "target " << t << " diverged from target 0";
+    }
+    // Exactly once: the multiset of keys is the full range.
+    std::vector<uint64_t> sorted = observed[0];
+    std::sort(sorted.begin(), sorted.end());
+    for (uint64_t i = 0; i < total; ++i) {
+      ASSERT_EQ(sorted[i], i);
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 
 namespace dfi {
@@ -44,38 +44,40 @@ class ReplicateTest : public ::testing::Test {
   /// Pushes kTuples from source 0 and verifies every target received all
   /// of them (order checked when `expect_order`).
   void RunOneToN(uint32_t num_targets, uint64_t tuples, bool expect_order) {
-    std::vector<std::thread> threads;
-    threads.emplace_back([&] {
-      auto source = dfi_.CreateReplicateSource("rep", 0);
-      ASSERT_TRUE(source.ok());
-      for (uint64_t i = 0; i < tuples; ++i) {
-        Kv kv{i, i * 3};
-        ASSERT_TRUE((*source)->Push(&kv).ok());
-      }
-      ASSERT_TRUE((*source)->Close().ok());
-    });
-    std::vector<uint64_t> counts(num_targets, 0);
-    for (uint32_t t = 0; t < num_targets; ++t) {
-      threads.emplace_back([&, t] {
-        auto target = dfi_.CreateReplicateTarget("rep", t);
-        ASSERT_TRUE(target.ok());
-        TupleView tuple;
-        uint64_t expected = 0;
-        while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-          const uint64_t key = tuple.Get<uint64_t>(0);
-          if (expect_order) {
-            ASSERT_EQ(key, expected);
-          }
-          ASSERT_EQ(tuple.Get<uint64_t>(1), key * 3);
-          ++expected;
-          ++counts[t];
+    exec::RunOnEngine([&] {
+      exec::ActorGroup actors;
+      actors.Spawn("source", [&] {
+        auto source = dfi_.CreateReplicateSource("rep", 0);
+        ASSERT_TRUE(source.ok());
+        for (uint64_t i = 0; i < tuples; ++i) {
+          Kv kv{i, i * 3};
+          ASSERT_TRUE((*source)->Push(&kv).ok());
         }
+        ASSERT_TRUE((*source)->Close().ok());
       });
-    }
-    for (auto& th : threads) th.join();
-    for (uint32_t t = 0; t < num_targets; ++t) {
-      EXPECT_EQ(counts[t], tuples) << "target " << t;
-    }
+      std::vector<uint64_t> counts(num_targets, 0);
+      for (uint32_t t = 0; t < num_targets; ++t) {
+        actors.Spawn("target", [&, t] {
+          auto target = dfi_.CreateReplicateTarget("rep", t);
+          ASSERT_TRUE(target.ok());
+          TupleView tuple;
+          uint64_t expected = 0;
+          while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+            const uint64_t key = tuple.Get<uint64_t>(0);
+            if (expect_order) {
+              ASSERT_EQ(key, expected);
+            }
+            ASSERT_EQ(tuple.Get<uint64_t>(1), key * 3);
+            ++expected;
+            ++counts[t];
+          }
+        });
+      }
+      actors.Join();
+      for (uint32_t t = 0; t < num_targets; ++t) {
+        EXPECT_EQ(counts[t], tuples) << "target " << t;
+      }
+    });
   }
 
   net::Fabric fabric_;
@@ -119,33 +121,35 @@ TEST_F(ReplicateTest, MulticastOrderedMultiSourceGlobalOrder) {
   ASSERT_TRUE(dfi_.InitReplicateFlow(std::move(spec)).ok());
 
   constexpr uint64_t kPerSource = 500;
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
-      auto source = dfi_.CreateReplicateSource("rep", s);
-      ASSERT_TRUE(source.ok());
-      for (uint64_t i = 0; i < kPerSource; ++i) {
-        Kv kv{s * kPerSource + i, i};
-        ASSERT_TRUE((*source)->Push(&kv).ok());
-      }
-      ASSERT_TRUE((*source)->Close().ok());
-    });
-  }
-  std::vector<std::vector<uint64_t>> sequences(3);
-  for (uint32_t t = 0; t < 3; ++t) {
-    threads.emplace_back([&, t] {
-      auto target = dfi_.CreateReplicateTarget("rep", t);
-      ASSERT_TRUE(target.ok());
-      TupleView tuple;
-      while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-        sequences[t].push_back(tuple.Get<uint64_t>(0));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  ASSERT_EQ(sequences[0].size(), 2 * kPerSource);
-  EXPECT_EQ(sequences[0], sequences[1]) << "targets disagree on order";
-  EXPECT_EQ(sequences[0], sequences[2]) << "targets disagree on order";
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < 2; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto source = dfi_.CreateReplicateSource("rep", s);
+        ASSERT_TRUE(source.ok());
+        for (uint64_t i = 0; i < kPerSource; ++i) {
+          Kv kv{s * kPerSource + i, i};
+          ASSERT_TRUE((*source)->Push(&kv).ok());
+        }
+        ASSERT_TRUE((*source)->Close().ok());
+      });
+    }
+    std::vector<std::vector<uint64_t>> sequences(3);
+    for (uint32_t t = 0; t < 3; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto target = dfi_.CreateReplicateTarget("rep", t);
+        ASSERT_TRUE(target.ok());
+        TupleView tuple;
+        while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+          sequences[t].push_back(tuple.Get<uint64_t>(0));
+        }
+      });
+    }
+    actors.Join();
+    ASSERT_EQ(sequences[0].size(), 2 * kPerSource);
+    EXPECT_EQ(sequences[0], sequences[1]) << "targets disagree on order";
+    EXPECT_EQ(sequences[0], sequences[2]) << "targets disagree on order";
+  });
 }
 
 class ReplicateLossTest : public ReplicateTest {

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <thread>
 #include <tuple>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 
 namespace dfi {
@@ -70,44 +70,46 @@ TEST_P(ShufflePropertyTest, ExactlyOnceCorrectlyPartitioned) {
   ASSERT_TRUE(dfi.InitShuffleFlow(std::move(spec)).ok());
 
   const uint64_t total = p.num_sources * p.tuples_per_source;
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < p.num_sources; ++s) {
-    threads.emplace_back([&, s] {
-      auto source = dfi.CreateShuffleSource("prop", s);
-      ASSERT_TRUE(source.ok());
-      std::vector<uint8_t> buf((*source)->schema().tuple_size(), 0);
-      for (uint64_t i = 0; i < p.tuples_per_source; ++i) {
-        const uint64_t key = s * p.tuples_per_source + i;
-        TupleWriter(buf.data(), &(*source)->schema()).Set<uint64_t>(0, key);
-        ASSERT_TRUE((*source)->Push(buf.data()).ok());
-      }
-      ASSERT_TRUE((*source)->Close().ok());
-    });
-  }
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < p.num_sources; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto source = dfi.CreateShuffleSource("prop", s);
+        ASSERT_TRUE(source.ok());
+        std::vector<uint8_t> buf((*source)->schema().tuple_size(), 0);
+        for (uint64_t i = 0; i < p.tuples_per_source; ++i) {
+          const uint64_t key = s * p.tuples_per_source + i;
+          TupleWriter(buf.data(), &(*source)->schema()).Set<uint64_t>(0, key);
+          ASSERT_TRUE((*source)->Push(buf.data()).ok());
+        }
+        ASSERT_TRUE((*source)->Close().ok());
+      });
+    }
 
-  std::vector<std::vector<uint64_t>> received(p.num_targets);
-  for (uint32_t t = 0; t < p.num_targets; ++t) {
-    threads.emplace_back([&, t] {
-      auto target = dfi.CreateShuffleTarget("prop", t);
-      ASSERT_TRUE(target.ok());
-      TupleView tuple;
-      while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-        const uint64_t key = tuple.Get<uint64_t>(0);
-        ASSERT_EQ(HashU64(key) % p.num_targets, t)
-            << "tuple arrived at wrong partition";
-        received[t].push_back(key);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
+    std::vector<std::vector<uint64_t>> received(p.num_targets);
+    for (uint32_t t = 0; t < p.num_targets; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto target = dfi.CreateShuffleTarget("prop", t);
+        ASSERT_TRUE(target.ok());
+        TupleView tuple;
+        while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+          const uint64_t key = tuple.Get<uint64_t>(0);
+          ASSERT_EQ(HashU64(key) % p.num_targets, t)
+              << "tuple arrived at wrong partition";
+          received[t].push_back(key);
+        }
+      });
+    }
+    actors.Join();
 
-  std::vector<uint64_t> all;
-  for (auto& r : received) all.insert(all.end(), r.begin(), r.end());
-  ASSERT_EQ(all.size(), total) << "lost or duplicated tuples";
-  std::sort(all.begin(), all.end());
-  for (uint64_t i = 0; i < total; ++i) {
-    ASSERT_EQ(all[i], i);
-  }
+    std::vector<uint64_t> all;
+    for (auto& r : received) all.insert(all.end(), r.begin(), r.end());
+    ASSERT_EQ(all.size(), total) << "lost or duplicated tuples";
+    std::sort(all.begin(), all.end());
+    for (uint64_t i = 0; i < total; ++i) {
+      ASSERT_EQ(all[i], i);
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/exec/engine.h"
 #include "core/dfi_runtime.h"
 
 namespace dfi {
@@ -76,25 +77,28 @@ TEST_F(ShuffleTest, OneToOneRoundTrip) {
   ASSERT_TRUE(target.ok());
 
   constexpr uint64_t kTuples = 10000;
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < kTuples; ++i) {
-      Kv kv{i, i * 2};
-      ASSERT_TRUE((*source)->Push(&kv).ok());
-    }
-    ASSERT_TRUE((*source)->Close().ok());
-  });
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      for (uint64_t i = 0; i < kTuples; ++i) {
+        Kv kv{i, i * 2};
+        ASSERT_TRUE((*source)->Push(&kv).ok());
+      }
+      ASSERT_TRUE((*source)->Close().ok());
+    });
 
-  uint64_t count = 0, key_sum = 0;
-  TupleView tuple;
-  while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-    EXPECT_EQ(tuple.Get<uint64_t>(1), tuple.Get<uint64_t>(0) * 2);
-    key_sum += tuple.Get<uint64_t>(0);
-    ++count;
-  }
-  producer.join();
-  EXPECT_EQ(count, kTuples);
-  EXPECT_EQ(key_sum, kTuples * (kTuples - 1) / 2);
-  EXPECT_GT((*target)->clock().now(), 0);
+    uint64_t count = 0, key_sum = 0;
+    TupleView tuple;
+    while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+      EXPECT_EQ(tuple.Get<uint64_t>(1), tuple.Get<uint64_t>(0) * 2);
+      key_sum += tuple.Get<uint64_t>(0);
+      ++count;
+    }
+    producer.Join();
+    EXPECT_EQ(count, kTuples);
+    EXPECT_EQ(key_sum, kTuples * (kTuples - 1) / 2);
+    EXPECT_GT((*target)->clock().now(), 0);
+  });
 }
 
 TEST_F(ShuffleTest, FlowEndIsSticky) {
@@ -140,41 +144,43 @@ TEST_F(ShuffleTest, KeyRoutingPartitionsDisjointly) {
   ASSERT_TRUE(dfi_.InitShuffleFlow(spec).ok());
 
   constexpr uint64_t kPerSource = 5000;
-  std::vector<std::thread> threads;
-  for (uint32_t s = 0; s < 2; ++s) {
-    threads.emplace_back([&, s] {
-      auto source = dfi_.CreateShuffleSource("f", s);
-      ASSERT_TRUE(source.ok());
-      for (uint64_t i = 0; i < kPerSource; ++i) {
-        Kv kv{s * kPerSource + i, i};
-        ASSERT_TRUE((*source)->Push(&kv).ok());
-      }
-      ASSERT_TRUE((*source)->Close().ok());
-    });
-  }
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    for (uint32_t s = 0; s < 2; ++s) {
+      actors.Spawn("source", [&, s] {
+        auto source = dfi_.CreateShuffleSource("f", s);
+        ASSERT_TRUE(source.ok());
+        for (uint64_t i = 0; i < kPerSource; ++i) {
+          Kv kv{s * kPerSource + i, i};
+          ASSERT_TRUE((*source)->Push(&kv).ok());
+        }
+        ASSERT_TRUE((*source)->Close().ok());
+      });
+    }
 
-  std::vector<std::vector<uint64_t>> received(2);
-  for (uint32_t t = 0; t < 2; ++t) {
-    threads.emplace_back([&, t] {
-      auto target = dfi_.CreateShuffleTarget("f", t);
-      ASSERT_TRUE(target.ok());
-      TupleView tuple;
-      while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-        const uint64_t key = tuple.Get<uint64_t>(0);
-        EXPECT_EQ(HashU64(key) % 2, t) << "key routed to wrong target";
-        received[t].push_back(key);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
+    std::vector<std::vector<uint64_t>> received(2);
+    for (uint32_t t = 0; t < 2; ++t) {
+      actors.Spawn("target", [&, t] {
+        auto target = dfi_.CreateShuffleTarget("f", t);
+        ASSERT_TRUE(target.ok());
+        TupleView tuple;
+        while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+          const uint64_t key = tuple.Get<uint64_t>(0);
+          EXPECT_EQ(HashU64(key) % 2, t) << "key routed to wrong target";
+          received[t].push_back(key);
+        }
+      });
+    }
+    actors.Join();
 
-  std::vector<uint64_t> all;
-  for (auto& r : received) all.insert(all.end(), r.begin(), r.end());
-  std::sort(all.begin(), all.end());
-  ASSERT_EQ(all.size(), 2 * kPerSource);
-  for (uint64_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(all[i], i);
-  }
+    std::vector<uint64_t> all;
+    for (auto& r : received) all.insert(all.end(), r.begin(), r.end());
+    std::sort(all.begin(), all.end());
+    ASSERT_EQ(all.size(), 2 * kPerSource);
+    for (uint64_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(all[i], i);
+    }
+  });
 }
 
 TEST_F(ShuffleTest, CustomRoutingFunction) {
@@ -190,33 +196,37 @@ TEST_F(ShuffleTest, CustomRoutingFunction) {
   ASSERT_TRUE(dfi_.InitShuffleFlow(spec).ok());
 
   auto source = dfi_.CreateShuffleSource("f", 0);
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < 200; ++i) {
-      Kv kv{i, 0};
-      ASSERT_TRUE((*source)->Push(&kv).ok());
-    }
-    ASSERT_TRUE((*source)->Close().ok());
-  });
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      for (uint64_t i = 0; i < 200; ++i) {
+        Kv kv{i, 0};
+        ASSERT_TRUE((*source)->Push(&kv).ok());
+      }
+      ASSERT_TRUE((*source)->Close().ok());
+    });
 
-  auto t0 = dfi_.CreateShuffleTarget("f", 0);
-  auto t1 = dfi_.CreateShuffleTarget("f", 1);
-  std::vector<uint64_t> left, right;
-  std::thread consumer0([&] {
+    auto t0 = dfi_.CreateShuffleTarget("f", 0);
+    auto t1 = dfi_.CreateShuffleTarget("f", 1);
+    std::vector<uint64_t> left, right;
+    exec::ActorGroup consumer0;
+    consumer0.Spawn("consumer0", [&] {
+      TupleView tuple;
+      while ((*t0)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+        left.push_back(tuple.Get<uint64_t>(0));
+      }
+    });
     TupleView tuple;
-    while ((*t0)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-      left.push_back(tuple.Get<uint64_t>(0));
+    while ((*t1)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+      right.push_back(tuple.Get<uint64_t>(0));
     }
+    producer.Join();
+    consumer0.Join();
+    EXPECT_EQ(left.size(), 100u);
+    EXPECT_EQ(right.size(), 100u);
+    for (uint64_t k : left) EXPECT_LT(k, 100u);
+    for (uint64_t k : right) EXPECT_GE(k, 100u);
   });
-  TupleView tuple;
-  while ((*t1)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-    right.push_back(tuple.Get<uint64_t>(0));
-  }
-  producer.join();
-  consumer0.join();
-  EXPECT_EQ(left.size(), 100u);
-  EXPECT_EQ(right.size(), 100u);
-  for (uint64_t k : left) EXPECT_LT(k, 100u);
-  for (uint64_t k : right) EXPECT_GE(k, 100u);
 }
 
 TEST_F(ShuffleTest, PushToExplicitTarget) {
@@ -229,22 +239,25 @@ TEST_F(ShuffleTest, PushToExplicitTarget) {
   auto source = dfi_.CreateShuffleSource("f", 0);
   Kv kv{42, 7};
   EXPECT_EQ((*source)->PushTo(&kv, 5).code(), StatusCode::kOutOfRange);
-  std::thread producer([&] {
-    Kv t{42, 7};
-    ASSERT_TRUE((*source)->PushTo(&t, 1).ok());
-    ASSERT_TRUE((*source)->Close().ok());
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      Kv t{42, 7};
+      ASSERT_TRUE((*source)->PushTo(&t, 1).ok());
+      ASSERT_TRUE((*source)->Close().ok());
+    });
+    auto t0 = dfi_.CreateShuffleTarget("f", 0);
+    auto t1 = dfi_.CreateShuffleTarget("f", 1);
+    TupleView tuple;
+    int t1_count = 0;
+    while ((*t1)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+      EXPECT_EQ(tuple.Get<uint64_t>(0), 42u);
+      ++t1_count;
+    }
+    EXPECT_EQ(t1_count, 1);
+    EXPECT_EQ((*t0)->Consume(&tuple), ConsumeResult::kFlowEnd);
+    producer.Join();
   });
-  auto t0 = dfi_.CreateShuffleTarget("f", 0);
-  auto t1 = dfi_.CreateShuffleTarget("f", 1);
-  TupleView tuple;
-  int t1_count = 0;
-  while ((*t1)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-    EXPECT_EQ(tuple.Get<uint64_t>(0), 42u);
-    ++t1_count;
-  }
-  EXPECT_EQ(t1_count, 1);
-  EXPECT_EQ((*t0)->Consume(&tuple), ConsumeResult::kFlowEnd);
-  producer.join();
 }
 
 TEST_F(ShuffleTest, LatencyOptimizedRoundTrip) {
@@ -259,25 +272,28 @@ TEST_F(ShuffleTest, LatencyOptimizedRoundTrip) {
 
   auto source = dfi_.CreateShuffleSource("f", 0);
   auto target = dfi_.CreateShuffleTarget("f", 0);
-  constexpr uint64_t kTuples = 2000;  // > credits, forces credit refreshes
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < kTuples; ++i) {
-      Kv kv{i, i + 1};
-      ASSERT_TRUE((*source)->Push(&kv).ok());
+  exec::RunOnEngine([&] {
+    constexpr uint64_t kTuples = 2000;  // > credits, forces credit refreshes
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      for (uint64_t i = 0; i < kTuples; ++i) {
+        Kv kv{i, i + 1};
+        ASSERT_TRUE((*source)->Push(&kv).ok());
+      }
+      ASSERT_TRUE((*source)->Close().ok());
+    });
+    uint64_t count = 0;
+    uint64_t expected = 0;
+    TupleView tuple;
+    while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
+      // Latency mode over one channel preserves order.
+      EXPECT_EQ(tuple.Get<uint64_t>(0), expected);
+      ++expected;
+      ++count;
     }
-    ASSERT_TRUE((*source)->Close().ok());
+    producer.Join();
+    EXPECT_EQ(count, kTuples);
   });
-  uint64_t count = 0;
-  uint64_t expected = 0;
-  TupleView tuple;
-  while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) {
-    // Latency mode over one channel preserves order.
-    EXPECT_EQ(tuple.Get<uint64_t>(0), expected);
-    ++expected;
-    ++count;
-  }
-  producer.join();
-  EXPECT_EQ(count, kTuples);
 }
 
 TEST_F(ShuffleTest, SegmentConsumeIsZeroCopyBatched) {
@@ -290,24 +306,27 @@ TEST_F(ShuffleTest, SegmentConsumeIsZeroCopyBatched) {
   ASSERT_TRUE(dfi_.InitShuffleFlow(spec).ok());
   auto source = dfi_.CreateShuffleSource("f", 0);
   auto target = dfi_.CreateShuffleTarget("f", 0);
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < 64; ++i) {
-      Kv kv{i, i};
-      ASSERT_TRUE((*source)->Push(&kv).ok());
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      for (uint64_t i = 0; i < 64; ++i) {
+        Kv kv{i, i};
+        ASSERT_TRUE((*source)->Push(&kv).ok());
+      }
+      ASSERT_TRUE((*source)->Close().ok());
+    });
+    SegmentView view;
+    uint64_t tuples = 0;
+    int segments = 0;
+    while ((*target)->ConsumeSegment(&view) != ConsumeResult::kFlowEnd) {
+      EXPECT_EQ(view.bytes % 16, 0u);
+      tuples += view.bytes / 16;
+      ++segments;
     }
-    ASSERT_TRUE((*source)->Close().ok());
+    producer.Join();
+    EXPECT_EQ(tuples, 64u);
+    EXPECT_EQ(segments, 4) << "16 tuples per 256 B segment";
   });
-  SegmentView view;
-  uint64_t tuples = 0;
-  int segments = 0;
-  while ((*target)->ConsumeSegment(&view) != ConsumeResult::kFlowEnd) {
-    EXPECT_EQ(view.bytes % 16, 0u);
-    tuples += view.bytes / 16;
-    ++segments;
-  }
-  producer.join();
-  EXPECT_EQ(tuples, 64u);
-  EXPECT_EQ(segments, 4) << "16 tuples per 256 B segment";
 }
 
 TEST_F(ShuffleTest, SmallRingStillCompletes) {
@@ -323,18 +342,21 @@ TEST_F(ShuffleTest, SmallRingStillCompletes) {
   auto source = dfi_.CreateShuffleSource("f", 0);
   auto target = dfi_.CreateShuffleTarget("f", 0);
   constexpr uint64_t kTuples = 5000;
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < kTuples; ++i) {
-      Kv kv{i, i};
-      ASSERT_TRUE((*source)->Push(&kv).ok());
-    }
-    ASSERT_TRUE((*source)->Close().ok());
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      for (uint64_t i = 0; i < kTuples; ++i) {
+        Kv kv{i, i};
+        ASSERT_TRUE((*source)->Push(&kv).ok());
+      }
+      ASSERT_TRUE((*source)->Close().ok());
+    });
+    uint64_t count = 0;
+    TupleView tuple;
+    while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) ++count;
+    producer.Join();
+    EXPECT_EQ(count, kTuples);
   });
-  uint64_t count = 0;
-  TupleView tuple;
-  while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) ++count;
-  producer.join();
-  EXPECT_EQ(count, kTuples);
 }
 
 TEST_F(ShuffleTest, VirtualTimeReflectsLinkBandwidth) {
@@ -351,24 +373,27 @@ TEST_F(ShuffleTest, VirtualTimeReflectsLinkBandwidth) {
   auto source = dfi_.CreateShuffleSource("f", 0);
   auto target = dfi_.CreateShuffleTarget("f", 0);
   const uint64_t kTuples = 64 * kMiB / 1024;
-  std::thread producer([&] {
-    std::vector<uint8_t> buf(1024, 0);
-    for (uint64_t i = 0; i < kTuples; ++i) {
-      TupleWriter(buf.data(), &(*source)->schema()).Set<uint64_t>(0, i);
-      ASSERT_TRUE((*source)->Push(buf.data()).ok());
-    }
-    ASSERT_TRUE((*source)->Close().ok());
+  exec::RunOnEngine([&] {
+    exec::ActorGroup producer;
+    producer.Spawn("producer", [&] {
+      std::vector<uint8_t> buf(1024, 0);
+      for (uint64_t i = 0; i < kTuples; ++i) {
+        TupleWriter(buf.data(), &(*source)->schema()).Set<uint64_t>(0, i);
+        ASSERT_TRUE((*source)->Push(buf.data()).ok());
+      }
+      ASSERT_TRUE((*source)->Close().ok());
+    });
+    TupleView tuple;
+    uint64_t count = 0;
+    while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) ++count;
+    producer.Join();
+    ASSERT_EQ(count, kTuples);
+    const double min_ns = 64.0 * kMiB / fabric_.config().LinkBytesPerNs();
+    EXPECT_GE((*target)->clock().now(), static_cast<SimTime>(min_ns));
+    // A single source thread pays ~94 ns of CPU per 1 KiB tuple (cost
+    // model), so the run is mildly CPU-bound: allow up to 2x wire time.
+    EXPECT_LE((*target)->clock().now(), static_cast<SimTime>(2.0 * min_ns));
   });
-  TupleView tuple;
-  uint64_t count = 0;
-  while ((*target)->Consume(&tuple) != ConsumeResult::kFlowEnd) ++count;
-  producer.join();
-  ASSERT_EQ(count, kTuples);
-  const double min_ns = 64.0 * kMiB / fabric_.config().LinkBytesPerNs();
-  EXPECT_GE((*target)->clock().now(), static_cast<SimTime>(min_ns));
-  // A single source thread pays ~94 ns of CPU per 1 KiB tuple (cost
-  // model), so the run is mildly CPU-bound: allow up to 2x wire time.
-  EXPECT_LE((*target)->clock().now(), static_cast<SimTime>(2.0 * min_ns));
 }
 
 }  // namespace

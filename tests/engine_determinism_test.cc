@@ -1,9 +1,8 @@
-// Determinism of the parallel emulation engine (tentpole acceptance): the
-// same seeded workload must produce identical results at every worker-pool
-// size, and identical to the plain-thread execution. Task interleavings DO
-// vary with the pool size — what must not vary is anything the emulation
-// reports: per-channel FIFO delivery sequences, order-insensitive content
-// checksums, completion counts, and the fault plan's event trace.
+// Determinism of the emulation engine: every actor is a fiber on one OS
+// thread, scheduled in (virtual time, spawn id) order, so two runs of the
+// same seeded workload must report identical results: per-channel FIFO
+// delivery sequences, content checksums, completion counts, the fault
+// plan's event trace and the timing of a failover.
 
 #include <array>
 #include <cstring>
@@ -48,9 +47,8 @@ uint64_t HashStep(uint64_t h, uint64_t v) {
 }
 
 /// The workload body: 4 sources push seeded key streams through a hashed
-/// shuffle, 4 targets drain and fingerprint what they see. Runs the actors
-/// on the ambient engine when called from inside one, on OS threads
-/// otherwise (ActorGroup picks).
+/// shuffle, 4 targets drain and fingerprint what they see. Must run on an
+/// engine (ShuffleOnEngine).
 ShuffleTrace ShuffleWorkload(uint64_t seed) {
   net::Fabric fabric;
   std::vector<std::string> addrs;
@@ -80,7 +78,7 @@ ShuffleTrace ShuffleWorkload(uint64_t seed) {
 
   exec::ActorGroup actors;
   for (uint32_t s = 0; s < kSources; ++s) {
-    actors.Spawn(s, "src." + std::to_string(s), [&dfi, s, seed] {
+    actors.Spawn("src." + std::to_string(s), [&dfi, s, seed] {
       auto src = dfi.CreateShuffleSource("det.shuffle", s);
       DFI_CHECK(src.ok());
       uint64_t x = seed + s * 0x9e3779b97f4a7c15ull + 1;
@@ -94,8 +92,8 @@ ShuffleTrace ShuffleWorkload(uint64_t seed) {
     });
   }
   for (uint32_t t = 0; t < kTargets; ++t) {
-    actors.Spawn(kSources + t, "tgt." + std::to_string(t),
-                 [&dfi, &per_channel, &counts, t] {
+    actors.Spawn("tgt." + std::to_string(t), [&dfi, &per_channel, &counts,
+                                              t] {
       auto tgt = dfi.CreateShuffleTarget("det.shuffle", t);
       DFI_CHECK(tgt.ok());
       SegmentView seg;
@@ -123,40 +121,31 @@ ShuffleTrace ShuffleWorkload(uint64_t seed) {
   return trace;
 }
 
-ShuffleTrace ShuffleUnderEngine(uint32_t workers, uint64_t seed) {
-  ShuffleTrace trace;
-  exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
-  engine.Spawn(0, "root", [&] { trace = ShuffleWorkload(seed); });
-  engine.Run();
-  return trace;
+ShuffleTrace ShuffleOnEngine(uint64_t seed) {
+  return exec::RunOnEngine([&] { return ShuffleWorkload(seed); });
 }
 
-TEST(EngineDeterminismTest, ShuffleTraceIdenticalAcrossPoolSizes) {
+TEST(EngineDeterminismTest, ShuffleTraceIdenticalAcrossRuns) {
   const uint64_t seed = 42;
-  const ShuffleTrace threads = ShuffleWorkload(seed);  // no engine
-  EXPECT_EQ(threads.total_tuples, uint64_t{kSources} * kTuplesPerSource);
-  for (uint32_t workers : {1u, 2u, 4u}) {
-    const ShuffleTrace engine = ShuffleUnderEngine(workers, seed);
-    EXPECT_TRUE(engine == threads)
-        << "engine trace diverged at pool size " << workers;
-  }
+  const ShuffleTrace a = ShuffleOnEngine(seed);
+  EXPECT_EQ(a.total_tuples, uint64_t{kSources} * kTuplesPerSource);
+  EXPECT_TRUE(ShuffleOnEngine(seed) == a) << "shuffle trace diverged";
 }
 
 TEST(EngineDeterminismTest, ShuffleSeedChangesTrace) {
   // Sanity: the fingerprint actually depends on the data.
-  EXPECT_FALSE(ShuffleUnderEngine(2, 1) == ShuffleUnderEngine(2, 2));
+  EXPECT_FALSE(ShuffleOnEngine(1) == ShuffleOnEngine(2));
 }
 
 // ---------------------------------------------------------------------------
 // Adaptive (skew-aware) shuffle determinism
 // ---------------------------------------------------------------------------
 
-/// Witness of an adaptive zipfian shuffle. Work stealing makes *which*
-/// sink thread consumes a segment scheduling-dependent, so the trace
-/// fingerprints channels, not sinks: adaptive routing is a pure function
-/// of each source's own input prefix, hence the (source, target-column)
-/// content — count and an order-insensitive key sum — must be
-/// bit-identical at every pool size.
+/// Witness of an adaptive zipfian shuffle. Work stealing decides *which*
+/// sink consumes a segment, so the trace fingerprints channels, not sinks:
+/// adaptive routing is a pure function of each source's own input prefix,
+/// hence the (source, target-column) content — count and an
+/// order-insensitive key sum — must be bit-identical across runs.
 struct AdaptiveTrace {
   std::map<std::pair<uint32_t, uint32_t>, std::pair<uint64_t, uint64_t>>
       channels;  // (src, column) -> (tuples, key sum)
@@ -199,7 +188,7 @@ AdaptiveTrace AdaptiveShuffleWorkload(uint64_t seed) {
   std::array<AdaptiveTrace, kAdTargets> local;
   exec::ActorGroup actors;
   for (uint32_t s = 0; s < kAdSources; ++s) {
-    actors.Spawn(s, "src." + std::to_string(s), [&dfi, s, seed] {
+    actors.Spawn("src." + std::to_string(s), [&dfi, s, seed] {
       auto rel =
           bench::GenerateZipfianRelation(kAdTuples, 1 << 16, 1.1, seed + s);
       auto src = dfi.CreateShuffleSource("det.adaptive", s);
@@ -211,8 +200,7 @@ AdaptiveTrace AdaptiveShuffleWorkload(uint64_t seed) {
     });
   }
   for (uint32_t t = 0; t < kAdTargets; ++t) {
-    actors.Spawn(kAdSources + t, "tgt." + std::to_string(t),
-                 [&dfi, &local, t] {
+    actors.Spawn("tgt." + std::to_string(t), [&dfi, &local, t] {
       auto tgt = dfi.CreateShuffleTarget("det.adaptive", t);
       DFI_CHECK(tgt.ok());
       SegmentView seg;
@@ -245,29 +233,25 @@ AdaptiveTrace AdaptiveShuffleWorkload(uint64_t seed) {
   return trace;
 }
 
-TEST(EngineDeterminismTest, AdaptiveShuffleTraceIdenticalAcrossPoolSizes) {
+AdaptiveTrace AdaptiveOnEngine(uint64_t seed) {
+  return exec::RunOnEngine([&] { return AdaptiveShuffleWorkload(seed); });
+}
+
+TEST(EngineDeterminismTest, AdaptiveShuffleTraceIdenticalAcrossRuns) {
   const uint64_t seed = 42;
-  const AdaptiveTrace threads = AdaptiveShuffleWorkload(seed);
-  EXPECT_EQ(threads.total_tuples, uint64_t{4} * 4000);
-  for (uint32_t workers : {1u, 2u, 4u}) {
-    AdaptiveTrace trace;
-    exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
-    engine.Spawn(0, "root", [&] { trace = AdaptiveShuffleWorkload(seed); });
-    engine.Run();
-    EXPECT_TRUE(trace == threads)
-        << "adaptive trace diverged at pool size " << workers;
-  }
+  const AdaptiveTrace a = AdaptiveOnEngine(seed);
+  EXPECT_EQ(a.total_tuples, uint64_t{4} * 4000);
+  EXPECT_TRUE(AdaptiveOnEngine(seed) == a) << "adaptive trace diverged";
 }
 
 TEST(EngineDeterminismTest, AdaptiveShuffleSeedChangesTrace) {
-  EXPECT_FALSE(AdaptiveShuffleWorkload(1) == AdaptiveShuffleWorkload(2));
+  EXPECT_FALSE(AdaptiveOnEngine(1) == AdaptiveOnEngine(2));
 }
 
 /// Chaos consensus: a leader crash scripted on the fault plan mid-run, then
 /// failover. The content witnesses — completion count and the fault plan's
-/// canonical event trace — must be identical at every pool size (against a
-/// pool-1 reference: the consensus apps only run on an engine); the timing
-/// witnesses (resubmissions, recovery times) between pool-1 runs.
+/// canonical event trace — and the timing witnesses (resubmissions,
+/// recovery times) must be identical across runs.
 struct ChaosTrace {
   uint64_t completed = 0;
   std::string fault_trace;
@@ -275,9 +259,6 @@ struct ChaosTrace {
   SimTime recovery_first_reply_ns = 0;
   SimTime recovery_all_clients_ns = 0;
 
-  bool operator==(const ChaosTrace& o) const {
-    return completed == o.completed && fault_trace == o.fault_trace;
-  }
 };
 
 ChaosTrace ChaosWorkload() {
@@ -304,28 +285,14 @@ ChaosTrace ChaosWorkload() {
   return trace;
 }
 
-ChaosTrace ChaosOnEngine(uint32_t workers) {
-  ChaosTrace trace;
-  exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
-  engine.Spawn(0, "root", [&] { trace = ChaosWorkload(); });
-  engine.Run();
-  return trace;
-}
-
-TEST(EngineDeterminismTest, ChaosConsensusIdenticalAcrossPoolSizes) {
-  const ChaosTrace reference = ChaosOnEngine(1);
-  EXPECT_EQ(reference.completed, uint64_t{6} * 60);
-  for (uint32_t workers : {2u, 4u}) {
-    EXPECT_TRUE(ChaosOnEngine(workers) == reference)
-        << "chaos trace diverged at pool size " << workers;
-  }
-}
-
-TEST(EngineDeterminismTest, ChaosConsensusTimingIdenticalAtPoolOne) {
-  const ChaosTrace a = ChaosOnEngine(1);
-  const ChaosTrace b = ChaosOnEngine(1);
+TEST(EngineDeterminismTest, ChaosConsensusIdenticalAcrossRuns) {
+  const ChaosTrace a = exec::RunOnEngine(ChaosWorkload);
+  const ChaosTrace b = exec::RunOnEngine(ChaosWorkload);
+  EXPECT_EQ(a.completed, uint64_t{6} * 60);
   EXPECT_GT(a.resubmitted, 0u) << "the crash must land mid-run";
   EXPECT_GT(a.recovery_first_reply_ns, 0);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.fault_trace, b.fault_trace);
   EXPECT_EQ(a.resubmitted, b.resubmitted);
   EXPECT_EQ(a.recovery_first_reply_ns, b.recovery_first_reply_ns);
   EXPECT_EQ(a.recovery_all_clients_ns, b.recovery_all_clients_ns);
@@ -339,9 +306,7 @@ TEST(EngineDeterminismTest, ChaosConsensusTimingIdenticalAtPoolOne) {
 /// The pipeline's witnesses: window assignment is a pure function of tuple
 /// content and the combiner folds are commutative, so the full
 /// group -> (COUNT, SUM) content map and the per-subscriber commutative
-/// fingerprints must be identical at every pool size. Row *delivery order*
-/// at the subscribers legitimately varies — the fingerprints are
-/// order-insensitive by construction.
+/// fingerprints must be identical across runs.
 pipeline::PipelineResult PipelineWorkload(uint64_t seed) {
   pipeline::PipelineConfig cfg;
   cfg.num_nodes = 4;
@@ -360,26 +325,24 @@ pipeline::PipelineResult PipelineWorkload(uint64_t seed) {
   return std::move(*r);
 }
 
-TEST(EngineDeterminismTest, PipelineContentIdenticalAcrossPoolSizes) {
+pipeline::PipelineResult PipelineOnEngine(uint64_t seed) {
+  return exec::RunOnEngine([&] { return PipelineWorkload(seed); });
+}
+
+TEST(EngineDeterminismTest, PipelineContentIdenticalAcrossRuns) {
   const uint64_t seed = 42;
-  const pipeline::PipelineResult threads = PipelineWorkload(seed);
-  EXPECT_EQ(threads.tuples_ingested, uint64_t{4} * 2 * 2048);
-  EXPECT_FALSE(threads.windows.empty());
-  for (uint32_t workers : {1u, 2u, 4u}) {
-    pipeline::PipelineResult run;
-    exec::Engine engine({.workers = workers, .lookahead_ns = 1000});
-    engine.Spawn(0, "root", [&] { run = PipelineWorkload(seed); });
-    engine.Run();
-    EXPECT_EQ(run.windows, threads.windows)
-        << "pipeline content diverged at pool size " << workers;
-    EXPECT_EQ(run.fingerprints, threads.fingerprints)
-        << "subscriber fingerprints diverged at pool size " << workers;
-    EXPECT_EQ(run.rows_delivered, threads.rows_delivered);
-  }
+  const pipeline::PipelineResult a = PipelineOnEngine(seed);
+  EXPECT_EQ(a.tuples_ingested, uint64_t{4} * 2 * 2048);
+  EXPECT_FALSE(a.windows.empty());
+  const pipeline::PipelineResult b = PipelineOnEngine(seed);
+  EXPECT_EQ(b.windows, a.windows) << "pipeline content diverged";
+  EXPECT_EQ(b.fingerprints, a.fingerprints)
+      << "subscriber fingerprints diverged";
+  EXPECT_EQ(b.rows_delivered, a.rows_delivered);
 }
 
 TEST(EngineDeterminismTest, PipelineSeedChangesContent) {
-  EXPECT_NE(PipelineWorkload(1).windows, PipelineWorkload(2).windows);
+  EXPECT_NE(PipelineOnEngine(1).windows, PipelineOnEngine(2).windows);
 }
 
 }  // namespace

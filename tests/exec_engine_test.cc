@@ -221,7 +221,7 @@ TEST(EngineTest, StackChurnRecyclesFiberStacks) {
     for (int wave = 0; wave < kWaves; ++wave) {
       ActorGroup group;
       for (int i = 0; i < kPerWave; ++i) {
-        group.Spawn(static_cast<uint32_t>(i % 8), "short", [&, i] {
+        group.Spawn("short", [&, i] {
           volatile char scratch[512];
           for (size_t k = 0; k < sizeof(scratch); ++k) {
             scratch[k] = static_cast<char>(i + k);
@@ -266,16 +266,14 @@ TEST(EngineTest, TaskUsesMostOfItsStack) {
   EXPECT_GE(used, 200u * 1024);
 }
 
-TEST(ActorGroupTest, ThreadModeOutsideEngine) {
-  // Outside any engine, ActorGroup spawns real threads — the historical
-  // behavior every existing bench relies on.
-  ActorGroup group;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i) {
-    group.Spawn(static_cast<uint32_t>(i), "t", [&] { ran.fetch_add(1); });
-  }
-  group.Join();
-  EXPECT_EQ(ran.load(), 4);
+TEST(ActorGroupDeathTest, SpawnOutsideEngineDies) {
+  // Actors only run as engine tasks; a caller on a plain thread is a bug.
+  EXPECT_DEATH(
+      {
+        ActorGroup group;
+        group.Spawn("stray", [] {});
+      },
+      "outside an engine task: stray");
 }
 
 TEST(ActorGroupTest, EngineModeInsideTask) {
@@ -284,8 +282,7 @@ TEST(ActorGroupTest, EngineModeInsideTask) {
   engine.Spawn(0, "root", [&] {
     ActorGroup group;
     for (int i = 0; i < 8; ++i) {
-      group.Spawn(static_cast<uint32_t>(i), "actor",
-                  [&] { ran.fetch_add(1); });
+      group.Spawn("actor", [&] { ran.fetch_add(1); });
     }
     group.Join();
     EXPECT_EQ(ran.load(), 8);

@@ -64,7 +64,8 @@ TEST_F(DistributedJoinTest, DfiRadixJoinMatchesReference) {
   const JoinConfig cfg = SmallConfig();
   auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
   DfiRuntime dfi(&fabric);
-  auto result = RunDfiRadixJoin(&dfi, addrs, cfg);
+  auto result = exec::RunOnEngine(
+      [&] { return RunDfiRadixJoin(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->matches, ReferenceJoinMatches(cfg));
   EXPECT_GT(result->phases.network_partition, 0);
@@ -79,7 +80,8 @@ TEST_F(DistributedJoinTest, MpiRadixJoinMatchesReference) {
   SetUpNodes(&fabric, cfg.num_nodes);
   std::vector<net::NodeId> ids;
   for (uint32_t i = 0; i < cfg.num_nodes; ++i) ids.push_back(i);
-  auto result = RunMpiRadixJoin(&fabric, ids, cfg);
+  auto result = exec::RunOnEngine(
+      [&] { return RunMpiRadixJoin(&fabric, ids, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->matches, ReferenceJoinMatches(cfg));
   EXPECT_GT(result->phases.histogram, 0);
@@ -93,7 +95,8 @@ TEST_F(DistributedJoinTest, ReplicateJoinMatchesReference) {
   cfg.inner_tuples = 1 << 10;  // small inner: fragment-and-replicate case
   auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
   DfiRuntime dfi(&fabric);
-  auto result = RunDfiReplicateJoin(&dfi, addrs, cfg);
+  auto result = exec::RunOnEngine(
+      [&] { return RunDfiReplicateJoin(&dfi, addrs, cfg); });
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->matches, ReferenceJoinMatches(cfg));
   EXPECT_GT(result->phases.network_replication, 0);
@@ -110,14 +113,16 @@ TEST_F(DistributedJoinTest, DfiFasterThanMpi) {
   net::Fabric fabric_dfi;
   auto addrs = SetUpNodes(&fabric_dfi, cfg.num_nodes);
   DfiRuntime dfi(&fabric_dfi);
-  auto dfi_result = RunDfiRadixJoin(&dfi, addrs, cfg);
+  auto dfi_result = exec::RunOnEngine(
+      [&] { return RunDfiRadixJoin(&dfi, addrs, cfg); });
   ASSERT_TRUE(dfi_result.ok());
 
   net::Fabric fabric_mpi;
   SetUpNodes(&fabric_mpi, cfg.num_nodes);
   std::vector<net::NodeId> ids;
   for (uint32_t i = 0; i < cfg.num_nodes; ++i) ids.push_back(i);
-  auto mpi_result = RunMpiRadixJoin(&fabric_mpi, ids, cfg);
+  auto mpi_result = exec::RunOnEngine(
+      [&] { return RunMpiRadixJoin(&fabric_mpi, ids, cfg); });
   ASSERT_TRUE(mpi_result.ok());
 
   EXPECT_LT(dfi_result->phases.total, mpi_result->phases.total);
@@ -132,12 +137,14 @@ TEST_F(DistributedJoinTest, ReplicateJoinWinsForTinyInner) {
     net::Fabric f;
     auto addrs = SetUpNodes(&f, cfg.num_nodes);
     DfiRuntime dfi(&f);
-    auto radix = RunDfiRadixJoin(&dfi, addrs, cfg);
+    auto radix = exec::RunOnEngine(
+        [&] { return RunDfiRadixJoin(&dfi, addrs, cfg); });
     ASSERT_TRUE(radix.ok());
     net::Fabric f2;
     auto addrs2 = SetUpNodes(&f2, cfg.num_nodes);
     DfiRuntime dfi2(&f2);
-    auto repl = RunDfiReplicateJoin(&dfi2, addrs2, cfg);
+    auto repl = exec::RunOnEngine(
+        [&] { return RunDfiReplicateJoin(&dfi2, addrs2, cfg); });
     ASSERT_TRUE(repl.ok());
     EXPECT_EQ(radix->matches, repl->matches);
     EXPECT_LT(repl->phases.total, radix->phases.total);
@@ -155,10 +162,8 @@ TEST_F(DistributedJoinTest, JoinsAreDeterministicOnOneWorkerEngine) {
     net::Fabric fabric;
     auto addrs = SetUpNodes(&fabric, cfg.num_nodes);
     DfiRuntime dfi(&fabric);
-    StatusOr<JoinResult> r = Status::Internal("not run");
-    exec::Engine engine({.workers = 1});
-    engine.Spawn(0, "root", [&] { r = fn(&dfi, addrs, cfg); });
-    engine.Run();
+    StatusOr<JoinResult> r =
+        exec::RunOnEngine([&] { return fn(&dfi, addrs, cfg); });
     EXPECT_TRUE(r.ok()) << r.status();
     return r.ok() ? *r : JoinResult{};
   };

@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
-#include <thread>
 
+#include "common/exec/engine.h"
 #include "mpi/mpi_env.h"
 
 namespace dfi::mpi {
@@ -39,26 +39,29 @@ TEST_P(MpiP2pProperty, ExactDeliveryAndLinkBound) {
   std::iota(payload.begin(), payload.end(), 1);
 
   VirtualClock recv_clock;
-  std::thread sender([&] {
-    VirtualClock clock;
+  exec::RunOnEngine([&] {
+    exec::ActorGroup sender;
+    sender.Spawn("sender", [&] {
+      VirtualClock clock;
+      for (int i = 0; i < p.messages; ++i) {
+        ASSERT_TRUE(
+            env.Send(0, 1, 3, payload.data(), p.message_bytes, &clock).ok());
+      }
+    });
+    std::vector<uint8_t> out(p.message_bytes);
     for (int i = 0; i < p.messages; ++i) {
+      out.assign(p.message_bytes, 0);
       ASSERT_TRUE(
-          env.Send(0, 1, 3, payload.data(), p.message_bytes, &clock).ok());
+          env.Recv(1, 0, 3, out.data(), p.message_bytes, &recv_clock).ok());
+      ASSERT_EQ(out, payload) << "message " << i;
     }
-  });
-  std::vector<uint8_t> out(p.message_bytes);
-  for (int i = 0; i < p.messages; ++i) {
-    out.assign(p.message_bytes, 0);
-    ASSERT_TRUE(
-        env.Recv(1, 0, 3, out.data(), p.message_bytes, &recv_clock).ok());
-    ASSERT_EQ(out, payload) << "message " << i;
-  }
-  sender.join();
+    sender.Join();
 
-  // Completion cannot beat the wire: total bytes at link speed.
-  const double min_ns = static_cast<double>(p.message_bytes) * p.messages /
-                        fabric.config().LinkBytesPerNs();
-  EXPECT_GE(recv_clock.now(), static_cast<SimTime>(min_ns));
+    // Completion cannot beat the wire: total bytes at link speed.
+    const double min_ns = static_cast<double>(p.message_bytes) * p.messages /
+                          fabric.config().LinkBytesPerNs();
+    EXPECT_GE(recv_clock.now(), static_cast<SimTime>(min_ns));
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -72,38 +75,40 @@ INSTANTIATE_TEST_SUITE_P(
     ParamName);
 
 TEST(MpiCollectiveProperty, AlltoallConservesBytesAcrossRankCounts) {
-  for (int ranks : {2, 3, 5, 8}) {
-    net::Fabric fabric;
-    auto nodes = fabric.AddNodes(ranks);
-    MpiEnv env(&fabric, nodes);
-    constexpr size_t kBytes = 512;
-    std::vector<std::vector<uint8_t>> recv(
-        ranks, std::vector<uint8_t>(ranks * kBytes));
-    std::vector<std::thread> threads;
-    for (int r = 0; r < ranks; ++r) {
-      threads.emplace_back([&, r] {
-        std::vector<uint8_t> send(ranks * kBytes);
+  exec::RunOnEngine([&] {
+    for (int ranks : {2, 3, 5, 8}) {
+      net::Fabric fabric;
+      auto nodes = fabric.AddNodes(ranks);
+      MpiEnv env(&fabric, nodes);
+      constexpr size_t kBytes = 512;
+      std::vector<std::vector<uint8_t>> recv(
+          ranks, std::vector<uint8_t>(ranks * kBytes));
+      exec::ActorGroup actors;
+      for (int r = 0; r < ranks; ++r) {
+        actors.Spawn("actor", [&, r] {
+          std::vector<uint8_t> send(ranks * kBytes);
+          for (int q = 0; q < ranks; ++q) {
+            std::fill(send.begin() + q * kBytes,
+                      send.begin() + (q + 1) * kBytes,
+                      static_cast<uint8_t>(r * 16 + q));
+          }
+          VirtualClock clock;
+          ASSERT_TRUE(
+              env.Alltoall(r, send.data(), recv[r].data(), kBytes, &clock)
+                  .ok());
+        });
+      }
+      actors.Join();
+      for (int r = 0; r < ranks; ++r) {
         for (int q = 0; q < ranks; ++q) {
-          std::fill(send.begin() + q * kBytes,
-                    send.begin() + (q + 1) * kBytes,
-                    static_cast<uint8_t>(r * 16 + q));
-        }
-        VirtualClock clock;
-        ASSERT_TRUE(
-            env.Alltoall(r, send.data(), recv[r].data(), kBytes, &clock)
-                .ok());
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (int r = 0; r < ranks; ++r) {
-      for (int q = 0; q < ranks; ++q) {
-        for (size_t b = 0; b < kBytes; ++b) {
-          ASSERT_EQ(recv[r][q * kBytes + b], q * 16 + r)
-              << "ranks=" << ranks << " r=" << r << " q=" << q;
+          for (size_t b = 0; b < kBytes; ++b) {
+            ASSERT_EQ(recv[r][q * kBytes + b], q * 16 + r)
+                << "ranks=" << ranks << " r=" << r << " q=" << q;
+          }
         }
       }
     }
-  }
+  });
 }
 
 }  // namespace

@@ -1,3 +1,5 @@
+#include "common/exec/engine.h"
+#include "common/units.h"
 #include "mpi/mpi_env.h"
 
 #include <gtest/gtest.h>
@@ -5,7 +7,6 @@
 #include <cstring>
 #include <algorithm>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 namespace dfi::mpi {
@@ -29,14 +30,17 @@ TEST_F(MpiTest, EagerSendRecvRoundTrip) {
   std::vector<uint8_t> data(512);
   std::iota(data.begin(), data.end(), 0);
   VirtualClock sc, rc;
-  std::thread sender([&] {
-    ASSERT_TRUE(env_->Send(0, 1, 7, data.data(), data.size(), &sc).ok());
+  exec::RunOnEngine([&] {
+    exec::ActorGroup sender;
+    sender.Spawn("sender", [&] {
+      ASSERT_TRUE(env_->Send(0, 1, 7, data.data(), data.size(), &sc).ok());
+    });
+    std::vector<uint8_t> out(512, 0);
+    ASSERT_TRUE(env_->Recv(1, 0, 7, out.data(), out.size(), &rc).ok());
+    sender.Join();
+    EXPECT_EQ(out, data);
+    EXPECT_GT(rc.now(), sc.now()) << "receiver completes after the arrival";
   });
-  std::vector<uint8_t> out(512, 0);
-  ASSERT_TRUE(env_->Recv(1, 0, 7, out.data(), out.size(), &rc).ok());
-  sender.join();
-  EXPECT_EQ(out, data);
-  EXPECT_GT(rc.now(), sc.now()) << "receiver completes after the arrival";
 }
 
 TEST_F(MpiTest, EagerSenderDoesNotBlock) {
@@ -57,20 +61,23 @@ TEST_F(MpiTest, RendezvousBlocksUntilMatched) {
   std::iota(data.begin(), data.end(), 0);
   VirtualClock sc(1000), rc(5'000'000);
   std::atomic<bool> send_returned{false};
-  std::thread sender([&] {
-    ASSERT_TRUE(env_->Send(0, 1, 1, data.data(), data.size(), &sc).ok());
-    send_returned.store(true);
+  exec::RunOnEngine([&] {
+    exec::ActorGroup sender;
+    sender.Spawn("sender", [&] {
+      ASSERT_TRUE(env_->Send(0, 1, 1, data.data(), data.size(), &sc).ok());
+      send_returned.store(true);
+    });
+    exec::Engine::Yield(kSecond);  // the sender runs until it parks
+    EXPECT_FALSE(send_returned.load()) << "rendezvous must wait for the recv";
+    std::vector<uint8_t> out(data.size());
+    ASSERT_TRUE(env_->Recv(1, 0, 1, out.data(), out.size(), &rc).ok());
+    sender.Join();
+    EXPECT_TRUE(send_returned.load());
+    EXPECT_EQ(out, data);
+    // The transfer cannot start before the late receiver posted.
+    EXPECT_GT(rc.now(), 5'000'000);
+    EXPECT_GT(sc.now(), 5'000'000) << "sender waited for handshake";
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_FALSE(send_returned.load()) << "rendezvous must wait for the recv";
-  std::vector<uint8_t> out(data.size());
-  ASSERT_TRUE(env_->Recv(1, 0, 1, out.data(), out.size(), &rc).ok());
-  sender.join();
-  EXPECT_TRUE(send_returned.load());
-  EXPECT_EQ(out, data);
-  // The transfer cannot start before the late receiver posted.
-  EXPECT_GT(rc.now(), 5'000'000);
-  EXPECT_GT(sc.now(), 5'000'000) << "sender waited for handshake";
 }
 
 TEST_F(MpiTest, RecvSizeMismatchRejected) {
@@ -110,65 +117,72 @@ TEST_F(MpiTest, BarrierJoinsClocks) {
   for (int r = 0; r < 3; ++r) {
     clocks.push_back(std::make_unique<VirtualClock>(r * 1'000'000));
   }
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 3; ++r) {
-    threads.emplace_back(
-        [&, r] { ASSERT_TRUE(env_->Barrier(r, clocks[r].get()).ok()); });
-  }
-  for (auto& t : threads) t.join();
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_GE(clocks[r]->now(), 2'000'000) << "rank " << r;
-  }
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    for (int r = 0; r < 3; ++r) {
+      actors.Spawn("rank", [&, r] {
+        ASSERT_TRUE(env_->Barrier(r, clocks[r].get()).ok());
+      });
+    }
+    actors.Join();
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_GE(clocks[r]->now(), 2'000'000) << "rank " << r;
+    }
+  });
 }
 
 TEST_F(MpiTest, AlltoallExchangesSlices) {
   constexpr int kRanks = 4;
   constexpr size_t kBytes = 1024;
   SetUpEnv(kRanks);
-  std::vector<std::thread> threads;
-  std::vector<std::vector<uint8_t>> recv(kRanks,
-                                         std::vector<uint8_t>(kRanks * kBytes));
-  for (int r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
-      std::vector<uint8_t> send(kRanks * kBytes);
-      for (int q = 0; q < kRanks; ++q) {
-        std::memset(send.data() + q * kBytes, 16 * r + q, kBytes);
-      }
-      VirtualClock clock;
-      ASSERT_TRUE(
-          env_->Alltoall(r, send.data(), recv[r].data(), kBytes, &clock).ok());
-      EXPECT_GT(clock.now(), 0);
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int r = 0; r < kRanks; ++r) {
-    for (int q = 0; q < kRanks; ++q) {
-      // Slice q of rank r's recv buffer came from rank q's slice r.
-      EXPECT_EQ(recv[r][q * kBytes], 16 * q + r) << "r=" << r << " q=" << q;
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    std::vector<std::vector<uint8_t>> recv(kRanks,
+                                           std::vector<uint8_t>(kRanks * kBytes));
+    for (int r = 0; r < kRanks; ++r) {
+      actors.Spawn("actor", [&, r] {
+        std::vector<uint8_t> send(kRanks * kBytes);
+        for (int q = 0; q < kRanks; ++q) {
+          std::memset(send.data() + q * kBytes, 16 * r + q, kBytes);
+        }
+        VirtualClock clock;
+        ASSERT_TRUE(
+            env_->Alltoall(r, send.data(), recv[r].data(), kBytes, &clock).ok());
+        EXPECT_GT(clock.now(), 0);
+      });
     }
-  }
+    actors.Join();
+    for (int r = 0; r < kRanks; ++r) {
+      for (int q = 0; q < kRanks; ++q) {
+        // Slice q of rank r's recv buffer came from rank q's slice r.
+        EXPECT_EQ(recv[r][q * kBytes], 16 * q + r) << "r=" << r << " q=" << q;
+      }
+    }
+  });
 }
 
 TEST_F(MpiTest, AlltoallStragglerDelaysEveryone) {
   constexpr int kRanks = 4;
   SetUpEnv(kRanks);
-  std::vector<std::thread> threads;
-  std::vector<SimTime> finish(kRanks);
-  for (int r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
-      // Rank 3 arrives 10 ms late (the straggler).
-      VirtualClock clock(r == 3 ? 10'000'000 : 0);
-      std::vector<uint8_t> send(kRanks * 64, 0), recv(kRanks * 64, 0);
-      ASSERT_TRUE(env_->Alltoall(r, send.data(), recv.data(), 64, &clock).ok());
-      finish[r] = clock.now();
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int r = 0; r < kRanks; ++r) {
-    EXPECT_GE(finish[r], 10'000'000)
-        << "bulk-synchronous collective: rank " << r
-        << " must wait for the straggler";
-  }
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    std::vector<SimTime> finish(kRanks);
+    for (int r = 0; r < kRanks; ++r) {
+      actors.Spawn("actor", [&, r] {
+        // Rank 3 arrives 10 ms late (the straggler).
+        VirtualClock clock(r == 3 ? 10'000'000 : 0);
+        std::vector<uint8_t> send(kRanks * 64, 0), recv(kRanks * 64, 0);
+        ASSERT_TRUE(env_->Alltoall(r, send.data(), recv.data(), 64, &clock).ok());
+        finish[r] = clock.now();
+      });
+    }
+    actors.Join();
+    for (int r = 0; r < kRanks; ++r) {
+      EXPECT_GE(finish[r], 10'000'000)
+          << "bulk-synchronous collective: rank " << r
+          << " must wait for the straggler";
+    }
+  });
 }
 
 TEST_F(MpiTest, MultiThreadLatchSerializesAndDegrades) {
@@ -177,67 +191,72 @@ TEST_F(MpiTest, MultiThreadLatchSerializesAndDegrades) {
   // the aggregate virtual time exceed the uncontended case markedly.
   constexpr int kThreads = 4;
   constexpr int kMsgs = 100;
-  std::vector<std::thread> threads;
-  std::vector<SimTime> finish(kThreads);
-  std::vector<uint8_t> payload(64, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      VirtualClock clock;
-      for (int i = 0; i < kMsgs; ++i) {
-        ASSERT_TRUE(
-            env_->Send(0, 1, 100 + t, payload.data(), 64, &clock).ok());
-      }
-      finish[t] = clock.now();
-    });
-  }
-  // Drain on rank 1 so mailbox memory stays bounded.
-  std::thread drainer([&] {
-    VirtualClock clock;
-    std::vector<uint8_t> buf(64);
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    std::vector<SimTime> finish(kThreads);
+    std::vector<uint8_t> payload(64, 0);
     for (int t = 0; t < kThreads; ++t) {
-      for (int i = 0; i < kMsgs; ++i) {
-        ASSERT_TRUE(env_->Recv(1, 0, 100 + t, buf.data(), 64, &clock).ok());
+      actors.Spawn("actor", [&, t] {
+        VirtualClock clock;
+        for (int i = 0; i < kMsgs; ++i) {
+          ASSERT_TRUE(
+              env_->Send(0, 1, 100 + t, payload.data(), 64, &clock).ok());
+        }
+        finish[t] = clock.now();
+      });
+    }
+    // Drain on rank 1 so mailbox memory stays bounded.
+    exec::ActorGroup drainer;
+    drainer.Spawn("drainer", [&] {
+      VirtualClock clock;
+      std::vector<uint8_t> buf(64);
+      for (int t = 0; t < kThreads; ++t) {
+        for (int i = 0; i < kMsgs; ++i) {
+          ASSERT_TRUE(env_->Recv(1, 0, 100 + t, buf.data(), 64, &clock).ok());
+        }
       }
+    });
+    actors.Join();
+    drainer.Join();
+    // Total latch hold: 400 calls * (300 + 120*3) ns = 264 us serialized, so
+    // the last thread to finish must carry (almost) the whole serialization,
+    // far above the ~40 us a single uncontended thread needs.
+    const SimTime slowest = *std::max_element(finish.begin(), finish.end());
+    EXPECT_GE(slowest, 250'000);
+    // And every thread at least pays for its own 100 latch holds.
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_GE(finish[t], 66'000) << "thread " << t;
     }
   });
-  for (auto& t : threads) t.join();
-  drainer.join();
-  // Total latch hold: 400 calls * (300 + 120*3) ns = 264 us serialized, so
-  // the last thread to finish must carry (almost) the whole serialization,
-  // far above the ~40 us a single uncontended thread needs.
-  const SimTime slowest = *std::max_element(finish.begin(), finish.end());
-  EXPECT_GE(slowest, 250'000);
-  // And every thread at least pays for its own 100 latch holds.
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_GE(finish[t], 66'000) << "thread " << t;
-  }
 }
 
 TEST_F(MpiTest, WindowPutAndFence) {
   SetUpEnv(3);
   auto window = env_->CreateWindow(4096);
   ASSERT_TRUE(window.ok());
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 3; ++r) {
-    threads.emplace_back([&, r] {
-      VirtualClock clock;
-      uint64_t value = 1000 + r;
-      // Every rank writes its value into every rank's window at offset r*8.
-      for (int q = 0; q < 3; ++q) {
-        ASSERT_TRUE(env_->Put(r, &value, sizeof(value), q, r * 8, *window,
-                              &clock)
-                        .ok());
-      }
-      ASSERT_TRUE(env_->Fence(r, *window, &clock).ok());
-      // After the fence, all puts are visible everywhere.
-      for (int src = 0; src < 3; ++src) {
-        uint64_t got;
-        std::memcpy(&got, (*window)->local(r) + src * 8, 8);
-        EXPECT_EQ(got, 1000u + src);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    for (int r = 0; r < 3; ++r) {
+      actors.Spawn("actor", [&, r] {
+        VirtualClock clock;
+        uint64_t value = 1000 + r;
+        // Every rank writes its value into every rank's window at offset r*8.
+        for (int q = 0; q < 3; ++q) {
+          ASSERT_TRUE(env_->Put(r, &value, sizeof(value), q, r * 8, *window,
+                                &clock)
+                          .ok());
+        }
+        ASSERT_TRUE(env_->Fence(r, *window, &clock).ok());
+        // After the fence, all puts are visible everywhere.
+        for (int src = 0; src < 3; ++src) {
+          uint64_t got;
+          std::memcpy(&got, (*window)->local(r) + src * 8, 8);
+          EXPECT_EQ(got, 1000u + src);
+        }
+      });
+    }
+    actors.Join();
+  });
 }
 
 TEST_F(MpiTest, PutBeyondWindowRejected) {

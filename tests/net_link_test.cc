@@ -1,8 +1,8 @@
+#include "common/exec/engine.h"
 #include "net/link.h"
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 namespace dfi::net {
@@ -59,22 +59,24 @@ TEST(LinkSchedulerTest, SaturatedLinkRateMatchesCapacity) {
 
 TEST(LinkSchedulerTest, ConcurrentReservationsDoNotOverlap) {
   LinkScheduler link("l", 1.0);
-  std::vector<std::thread> threads;
-  std::vector<TransferWindow> windows(64);
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 8; ++i) {
-        windows[t * 8 + i] = link.Reserve(0, 10);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  // All 64 windows are 10 ns long and disjoint -> busy time 640.
-  EXPECT_EQ(link.busy_time(), 640);
-  EXPECT_EQ(link.busy_until(), 640);
-  for (const auto& w : windows) {
-    EXPECT_EQ(w.end - w.start, 10);
-  }
+  exec::RunOnEngine([&] {
+    exec::ActorGroup actors;
+    std::vector<TransferWindow> windows(64);
+    for (int t = 0; t < 8; ++t) {
+      actors.Spawn("actor", [&, t] {
+        for (int i = 0; i < 8; ++i) {
+          windows[t * 8 + i] = link.Reserve(0, 10);
+        }
+      });
+    }
+    actors.Join();
+    // All 64 windows are 10 ns long and disjoint -> busy time 640.
+    EXPECT_EQ(link.busy_time(), 640);
+    EXPECT_EQ(link.busy_until(), 640);
+    for (const auto& w : windows) {
+      EXPECT_EQ(w.end - w.start, 10);
+    }
+  });
 }
 
 TEST(LinkSchedulerTest, ZeroByteReserveIsInstant) {
