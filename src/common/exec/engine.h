@@ -94,10 +94,8 @@ class Engine {
 
   uint32_t workers() const { return workers_; }
 
-  /// Engine owning the calling fiber; nullptr on a plain OS thread. This is
-  /// the mode switch for the dual-mode blocking primitives.
+  /// Engine owning the calling fiber; nullptr on a plain OS thread.
   static Engine* Current();
-  static bool InTask() { return Current() != nullptr; }
   /// Engine currently inside Run(), if any (any calling thread).
   static Engine* Active();
 

@@ -1,8 +1,6 @@
 #ifndef DFI_CORE_RING_SYNC_H_
 #define DFI_CORE_RING_SYNC_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -11,22 +9,15 @@
 
 namespace dfi {
 
-/// Wakeup channel between the two ends of a ring. Dual-mode:
+/// Wakeup channel between the two ends of a ring: a version counter bumped
+/// on every footer state change plus the WaitPoint blocked engine tasks park
+/// on. Waiting is lost-wakeup-safe in two phases: capture version() *before*
+/// scanning ring state; if the scan found nothing, DeadlineWait::Block parks
+/// until any Notify() issued after the capture.
 ///
-///   - Thread mode (historical): blocked OS threads sleep on a condition
-///     variable. Emulation artifact (documented in DESIGN.md): on real
-///     hardware a blocked source spins re-reading the remote footer; in the
-///     emulation spinning threads on an oversubscribed host would waste
-///     wall-clock time without affecting *virtual* time, so blocked threads
-///     sleep and the virtual cost of the would-have-been polling is charged
-///     from footer timestamps when they wake.
-///
-///   - Engine mode: when the caller is an exec::Engine task, waits park the
-///     *fiber* on the embedded WaitPoint and Notify reschedules it, so
-///     thousands of blocked actors cost no OS threads and no sleep slices.
-///
-/// Both modes share the version counter; the mode is chosen per call from
-/// exec::Engine::InTask(), so one binary serves both execution models.
+/// On real hardware a blocked peer spins re-reading the remote footer. The
+/// emulation parks the fiber instead and charges the virtual cost of the
+/// would-have-been polling from footer timestamps when it wakes.
 class RingSync {
  public:
   RingSync() = default;
@@ -39,74 +30,19 @@ class RingSync {
       std::lock_guard<std::mutex> lock(mu_);
       ++version_;
     }
-    cv_.notify_all();
     wait_point_.WakeAll();
     exec::BumpProgress();
   }
 
-  /// Blocks until `pred()` is true. The predicate reads footer flags (with
-  /// acquire semantics), so it is re-evaluated after every Notify().
-  template <typename Pred>
-  void Wait(Pred pred) {
-    if (pred()) return;
-    if (exec::Engine::InTask()) {
-      for (;;) {
-        const uint64_t seen = version();
-        if (pred()) return;
-        exec::Engine::Park(&wait_point_,
-                           [&] { return version() != seen; },
-                           /*now=*/-1, exec::Engine::kNoTimer);
-      }
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    uint64_t seen = version_;
-    while (!pred()) {
-      cv_.wait(lock, [&] { return version_ != seen; });
-      seen = version_;
-    }
-  }
-
-  /// Lost-wakeup-safe two-phase waiting: capture the version *before*
-  /// scanning state; if the scan found nothing, WaitChanged() blocks until
-  /// any Notify() issued after the capture.
   uint64_t version() const {
     std::lock_guard<std::mutex> lock(mu_);
     return version_;
-  }
-  void WaitChanged(uint64_t seen) {
-    if (exec::Engine::InTask()) {
-      while (version() == seen) {
-        exec::Engine::Park(&wait_point_,
-                           [&] { return version() != seen; },
-                           /*now=*/-1, exec::Engine::kNoTimer);
-      }
-      return;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return version_ != seen; });
-  }
-
-  /// Bounded variant for deadline-aware waiters: returns once the version
-  /// moves past `seen` or after `timeout` of real time, whichever is first
-  /// (true iff the version changed). Callers loop, re-checking poison /
-  /// fault / deadline conditions between slices. Engine tasks should use
-  /// DeadlineWait::Block instead (virtual-time wakeups); this fallback
-  /// parks until the next Notify so a stray caller cannot stall a worker.
-  bool WaitChangedFor(uint64_t seen, std::chrono::nanoseconds timeout) {
-    if (exec::Engine::InTask()) {
-      exec::Engine::Park(&wait_point_, [&] { return version() != seen; },
-                         /*now=*/-1, exec::Engine::kNoTimer);
-      return version() != seen;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, timeout, [&] { return version_ != seen; });
   }
 
   exec::WaitPoint& wait_point() { return wait_point_; }
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   exec::WaitPoint wait_point_;
   uint64_t version_ = 0;
 };
@@ -126,9 +62,6 @@ class RingSync {
 /// TryConsume can be matched to one popped entry. Pops that find nothing
 /// consumable (e.g. an end marker already recycled) are skipped by the
 /// consumer.
-///
-/// Dual-mode like RingSync: engine tasks park their fiber, plain threads
-/// sleep on the condition variable.
 class ReadyGate {
  public:
   ReadyGate() = default;
@@ -143,7 +76,6 @@ class ReadyGate {
       ready_.push_back(channel_index);
       ++version_;
     }
-    cv_.notify_all();
     wait_point_.WakeAll();
     exec::BumpProgress();
   }
@@ -164,47 +96,21 @@ class ReadyGate {
       std::lock_guard<std::mutex> lock(mu_);
       ++version_;
     }
-    cv_.notify_all();
     wait_point_.WakeAll();
     exec::BumpProgress();
   }
 
-  /// Lost-wakeup-safe two-phase waiting, as in RingSync: capture the
-  /// version *before* draining the queue; WaitChanged blocks until any
-  /// Enqueue/Notify issued after the capture.
+  /// Two-phase waiting, as in RingSync: capture the version *before*
+  /// draining the queue.
   uint64_t version() const {
     std::lock_guard<std::mutex> lock(mu_);
     return version_;
-  }
-  void WaitChanged(uint64_t seen) {
-    if (exec::Engine::InTask()) {
-      while (version() == seen) {
-        exec::Engine::Park(&wait_point_,
-                           [&] { return version() != seen; },
-                           /*now=*/-1, exec::Engine::kNoTimer);
-      }
-      return;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return version_ != seen; });
-  }
-
-  /// Bounded variant, as in RingSync::WaitChangedFor.
-  bool WaitChangedFor(uint64_t seen, std::chrono::nanoseconds timeout) {
-    if (exec::Engine::InTask()) {
-      exec::Engine::Park(&wait_point_, [&] { return version() != seen; },
-                         /*now=*/-1, exec::Engine::kNoTimer);
-      return version() != seen;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, timeout, [&] { return version_ != seen; });
   }
 
   exec::WaitPoint& wait_point() { return wait_point_; }
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   exec::WaitPoint wait_point_;
   std::deque<uint32_t> ready_;
   uint64_t version_ = 0;

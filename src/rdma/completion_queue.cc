@@ -8,7 +8,6 @@ void CompletionQueue::Push(const Completion& c) {
     queue_.push_back(c);
     ++version_;
   }
-  cv_.notify_one();
   wait_point_.WakeAll();
   exec::BumpProgress();
 }
@@ -26,33 +25,6 @@ bool CompletionQueue::TryPoll(Completion* c, VirtualClock* clock) {
   std::lock_guard<std::mutex> lock(mu_);
   if (queue_.empty()) {
     clock->Advance(poll_cost_ns_);
-    return false;
-  }
-  return PopLocked(c, clock);
-}
-
-void CompletionQueue::PollBlocking(Completion* c, VirtualClock* clock) {
-  if (exec::Engine::InTask()) {
-    for (;;) {
-      const uint64_t seen = version();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (PopLocked(c, clock)) return;
-      }
-      exec::Engine::Park(&wait_point_,
-                         [&] { return version() != seen; }, clock->now(),
-                         exec::Engine::kNoTimer);
-    }
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return !queue_.empty(); });
-  PopLocked(c, clock);
-}
-
-bool CompletionQueue::PollFor(Completion* c, VirtualClock* clock,
-                              std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!cv_.wait_for(lock, timeout, [this] { return !queue_.empty(); })) {
     return false;
   }
   return PopLocked(c, clock);

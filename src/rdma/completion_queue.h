@@ -1,8 +1,6 @@
 #ifndef DFI_RDMA_COMPLETION_QUEUE_H_
 #define DFI_RDMA_COMPLETION_QUEUE_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 
@@ -35,17 +33,10 @@ class CompletionQueue {
   /// caller's clock advances by the poll cost and to at least `c->time`.
   bool TryPoll(Completion* c, VirtualClock* clock);
 
-  /// Blocking poll: waits (real time) until a completion is available.
-  void PollBlocking(Completion* c, VirtualClock* clock);
-
-  /// Blocking poll with a real-time deadline; returns false on timeout.
-  bool PollFor(Completion* c, VirtualClock* clock,
-               std::chrono::milliseconds timeout);
-
   size_t size() const;
 
-  /// Versioned-wakeup interface (as RingSync): engine tasks capture the
-  /// version, TryPoll, and park via DeadlineWait::Block when empty.
+  /// Versioned-wakeup interface (as RingSync): a blocked poller captures
+  /// the version, TryPolls, and parks via DeadlineWait::Block when empty.
   uint64_t version() const {
     std::lock_guard<std::mutex> lock(mu_);
     return version_;
@@ -57,7 +48,6 @@ class CompletionQueue {
 
   const SimTime poll_cost_ns_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   exec::WaitPoint wait_point_;
   std::deque<Completion> queue_;
   uint64_t version_ = 0;

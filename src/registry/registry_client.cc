@@ -21,10 +21,9 @@ RegistryClient::RegistryClient(RegistryService* service,
 }
 
 void RegistryClient::SleepUntilVt(SimTime from, SimTime until) {
-  if (until > from && exec::Engine::InTask()) {
+  if (until > from) {
     // Nobody ever wakes backoff_wp_, so this is a pure virtual-time sleep:
-    // the park returns exactly when the engine floor reaches `until`,
-    // independent of worker-pool size.
+    // the park returns exactly when the engine reaches `until`.
     exec::Engine::Park(&backoff_wp_, [] { return false; }, from, until);
   }
   if (clock_) clock_->AdvanceTo(until);

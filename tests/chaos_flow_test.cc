@@ -113,39 +113,43 @@ TEST_F(ChaosFlowTest, ShuffleTargetAbortUnblocksFullRingProducer) {
 }
 
 TEST_F(ChaosFlowTest, ShuffleConsumeDeadlineExpiresWithSilentSource) {
-  ShuffleFlowSpec spec;
-  spec.name = "f";
-  spec.sources.Append(Endpoint{addrs_[1], 0});
-  spec.targets.Append(Endpoint{addrs_[0], 0});
-  spec.schema = U64Schema();
-  spec.options = Bounded(/*deadline_ns=*/1 * kMillisecond);
-  ASSERT_TRUE(dfi_.InitShuffleFlow(std::move(spec)).ok());
+  exec::RunOnEngine([&] {
+    ShuffleFlowSpec spec;
+    spec.name = "f";
+    spec.sources.Append(Endpoint{addrs_[1], 0});
+    spec.targets.Append(Endpoint{addrs_[0], 0});
+    spec.schema = U64Schema();
+    spec.options = Bounded(/*deadline_ns=*/1 * kMillisecond);
+    ASSERT_TRUE(dfi_.InitShuffleFlow(std::move(spec)).ok());
 
-  // The source exists but never pushes and never closes: only the
-  // consumer's own deadline can end the wait.
-  auto tgt = dfi_.CreateShuffleTarget("f", 0);
-  TupleView tuple;
-  EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kError);
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kDeadlineExceeded);
+    // The source exists but never pushes and never closes: only the
+    // consumer's own deadline can end the wait.
+    auto tgt = dfi_.CreateShuffleTarget("f", 0);
+    TupleView tuple;
+    EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kError);
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kDeadlineExceeded);
+  });
 }
 
 TEST_F(ChaosFlowTest, ShuffleFaultPlanCrashDetectedByConsumer) {
-  fabric_.fault_plan().CrashNode(1, 10 * kMicrosecond);
-  ShuffleFlowSpec spec;
-  spec.name = "f";
-  spec.sources.Append(Endpoint{addrs_[1], 0});  // on the crashing node
-  spec.targets.Append(Endpoint{addrs_[0], 0});
-  spec.schema = U64Schema();
-  spec.options = Bounded(/*deadline_ns=*/60 * kMillisecond);
-  ASSERT_TRUE(dfi_.InitShuffleFlow(std::move(spec)).ok());
+  exec::RunOnEngine([&] {
+    fabric_.fault_plan().CrashNode(1, 10 * kMicrosecond);
+    ShuffleFlowSpec spec;
+    spec.name = "f";
+    spec.sources.Append(Endpoint{addrs_[1], 0});  // on the crashing node
+    spec.targets.Append(Endpoint{addrs_[0], 0});
+    spec.schema = U64Schema();
+    spec.options = Bounded(/*deadline_ns=*/60 * kMillisecond);
+    ASSERT_TRUE(dfi_.InitShuffleFlow(std::move(spec)).ok());
 
-  // No source endpoint is ever created — the node is dead. The consumer
-  // must report the peer's death (from the fault plan), well before its
-  // own 60 ms deadline.
-  auto tgt = dfi_.CreateShuffleTarget("f", 0);
-  TupleView tuple;
-  EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kError);
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+    // No source endpoint is ever created — the node is dead. The consumer
+    // must report the peer's death (from the fault plan), well before its
+    // own 60 ms deadline.
+    auto tgt = dfi_.CreateShuffleTarget("f", 0);
+    TupleView tuple;
+    EXPECT_EQ((*tgt)->Consume(&tuple), ConsumeResult::kError);
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+  });
 }
 
 // ---- Replicate -------------------------------------------------------------
@@ -220,20 +224,22 @@ TEST_F(ChaosFlowTest, ReplicateMulticastAbortFailsAllTargets) {
 }
 
 TEST_F(ChaosFlowTest, ReplicateMulticastFaultPlanCrashDetected) {
-  fabric_.fault_plan().CrashNode(2, 10 * kMicrosecond);
-  ReplicateFlowSpec spec;
-  spec.name = "f";
-  spec.sources.Append(Endpoint{addrs_[2], 0});  // on the crashing node
-  spec.targets.Append(Endpoint{addrs_[0], 0});
-  spec.schema = U64Schema();
-  spec.options = Bounded(/*deadline_ns=*/60 * kMillisecond);
-  spec.options.use_multicast = true;
-  ASSERT_TRUE(dfi_.InitReplicateFlow(std::move(spec)).ok());
+  exec::RunOnEngine([&] {
+    fabric_.fault_plan().CrashNode(2, 10 * kMicrosecond);
+    ReplicateFlowSpec spec;
+    spec.name = "f";
+    spec.sources.Append(Endpoint{addrs_[2], 0});  // on the crashing node
+    spec.targets.Append(Endpoint{addrs_[0], 0});
+    spec.schema = U64Schema();
+    spec.options = Bounded(/*deadline_ns=*/60 * kMillisecond);
+    spec.options.use_multicast = true;
+    ASSERT_TRUE(dfi_.InitReplicateFlow(std::move(spec)).ok());
 
-  auto tgt = dfi_.CreateReplicateTarget("f", 0);
-  SegmentView seg;
-  EXPECT_EQ((*tgt)->ConsumeSegment(&seg), ConsumeResult::kError);
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+    auto tgt = dfi_.CreateReplicateTarget("f", 0);
+    SegmentView seg;
+    EXPECT_EQ((*tgt)->ConsumeSegment(&seg), ConsumeResult::kError);
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kPeerFailed);
+  });
 }
 
 // ---- Combiner --------------------------------------------------------------
@@ -284,21 +290,23 @@ TEST_F(ChaosFlowTest, CombinerSourceAbortFailsAggregation) {
 }
 
 TEST_F(ChaosFlowTest, CombinerDrainDeadlineExpiresWithSilentSource) {
-  CombinerFlowSpec spec;
-  spec.name = "f";
-  spec.sources.Append(Endpoint{addrs_[1], 0});
-  spec.targets.Append(Endpoint{addrs_[0], 0});
-  spec.schema = Schema{{"key", DataType::kUInt64},
-                       {"value", DataType::kInt64}};
-  spec.group_by_index = 0;
-  spec.aggregates = {{AggFunc::kSum, 1}};
-  spec.options = Bounded(/*deadline_ns=*/1 * kMillisecond);
-  ASSERT_TRUE(dfi_.InitCombinerFlow(std::move(spec)).ok());
+  exec::RunOnEngine([&] {
+    CombinerFlowSpec spec;
+    spec.name = "f";
+    spec.sources.Append(Endpoint{addrs_[1], 0});
+    spec.targets.Append(Endpoint{addrs_[0], 0});
+    spec.schema = Schema{{"key", DataType::kUInt64},
+                         {"value", DataType::kInt64}};
+    spec.group_by_index = 0;
+    spec.aggregates = {{AggFunc::kSum, 1}};
+    spec.options = Bounded(/*deadline_ns=*/1 * kMillisecond);
+    ASSERT_TRUE(dfi_.InitCombinerFlow(std::move(spec)).ok());
 
-  auto tgt = dfi_.CreateCombinerTarget("f", 0);
-  AggRow row;
-  EXPECT_EQ((*tgt)->ConsumeAggregate(&row), ConsumeResult::kError);
-  EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kDeadlineExceeded);
+    auto tgt = dfi_.CreateCombinerTarget("f", 0);
+    AggRow row;
+    EXPECT_EQ((*tgt)->ConsumeAggregate(&row), ConsumeResult::kError);
+    EXPECT_EQ((*tgt)->last_status().code(), StatusCode::kDeadlineExceeded);
+  });
 }
 
 // ---- Runtime-level teardown ------------------------------------------------

@@ -148,37 +148,41 @@ TEST_F(EndpointTest, TupleConsumeAcrossWrap) {
 // A source facing a full remote ring with no consumer must not hang: the
 // footer poll gives up after block_deadline_ns of virtual waiting.
 TEST_F(EndpointTest, PushDeadlineExpiresOnFullRing) {
-  FlowOptions options;
-  options.segment_size = 64;  // 4 tuples per segment
-  options.segments_per_ring = 2;
-  options.block_deadline_ns = 1 * kMillisecond;
-  ChannelMatrix matrix = MakeMatrix(options);
+  exec::RunOnEngine([&] {
+    FlowOptions options;
+    options.segment_size = 64;  // 4 tuples per segment
+    options.segments_per_ring = 2;
+    options.block_deadline_ns = 1 * kMillisecond;
+    ChannelMatrix matrix = MakeMatrix(options);
 
-  VirtualClock clock;
-  FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]), &clock);
-  Status status = Status::OK();
-  for (uint64_t i = 0; i < 64 && status.ok(); ++i) {
-    Rec rec{i, 0};
-    status = endpoint.PushTo(&rec, 0);
-  }
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
-  // The expired wait charged at least the deadline to virtual time.
-  EXPECT_GE(clock.now(), options.block_deadline_ns);
+    VirtualClock clock;
+    FlowEndpoint endpoint(&matrix, 0, env_.context(nodes_[0]), &clock);
+    Status status = Status::OK();
+    for (uint64_t i = 0; i < 64 && status.ok(); ++i) {
+      Rec rec{i, 0};
+      status = endpoint.PushTo(&rec, 0);
+    }
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
+    // The expired wait charged at least the deadline to virtual time.
+    EXPECT_GE(clock.now(), options.block_deadline_ns);
+  });
 }
 
 // A sink whose source never shows up gives up after the deadline instead of
 // blocking forever.
 TEST_F(EndpointTest, ConsumeDeadlineExpiresWithSilentSource) {
-  FlowOptions options;
-  options.block_deadline_ns = 1 * kMillisecond;
-  ChannelMatrix matrix = MakeMatrix(options);
+  exec::RunOnEngine([&] {
+    FlowOptions options;
+    options.block_deadline_ns = 1 * kMillisecond;
+    ChannelMatrix matrix = MakeMatrix(options);
 
-  VirtualClock clock;
-  FlowSink sink = MakeSink(&matrix, &clock);
-  SegmentView view;
-  EXPECT_EQ(sink.ConsumeSegment(&view), ConsumeResult::kError);
-  EXPECT_EQ(sink.last_status().code(), StatusCode::kDeadlineExceeded)
-      << sink.last_status();
+    VirtualClock clock;
+    FlowSink sink = MakeSink(&matrix, &clock);
+    SegmentView view;
+    EXPECT_EQ(sink.ConsumeSegment(&view), ConsumeResult::kError);
+    EXPECT_EQ(sink.last_status().code(), StatusCode::kDeadlineExceeded)
+        << sink.last_status();
+  });
 }
 
 // Source-side Abort poisons the channel: the sink surfaces the cause as

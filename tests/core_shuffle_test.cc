@@ -4,7 +4,6 @@
 
 #include <map>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "common/exec/engine.h"

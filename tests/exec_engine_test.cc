@@ -33,10 +33,9 @@ TEST(EngineTest, RunsAllTasks) {
 
 TEST(EngineTest, CurrentIsNullOutsideAndSetInside) {
   EXPECT_EQ(Engine::Current(), nullptr);
-  EXPECT_FALSE(Engine::InTask());
   Engine engine({.workers = 1});
   bool inside = false;
-  engine.Spawn(0, "probe", [&] { inside = Engine::InTask(); });
+  engine.Spawn(0, "probe", [&] { inside = Engine::Current() == &engine; });
   engine.Run();
   EXPECT_TRUE(inside);
   EXPECT_EQ(Engine::Current(), nullptr);

@@ -199,47 +199,49 @@ TEST_F(ReplicatedRegistryTest, WrongPrimaryRedirectCarriesView) {
 }
 
 TEST_F(ReplicatedRegistryTest, MidBatchCrashRetriesExactlyOnce) {
-  Build();
-  // Publish 6 flows in one batch; the primary dies after applying (and
-  // replicating) exactly 2 of them. The client observes silence, backs
-  // off, and resends to the promoted backup, which answers the first two
-  // ops from its dedup window and applies the rest — nothing lost, nothing
-  // double-applied (a double apply would surface as kAlreadyExists).
-  const uint32_t kOps = 6;
-  const SimTime hop =
-      Hop(nodes_[0], nodes_[1], 0, kOpWireBytes * kOps);
-  const SimTime t_arrive = hop;
-  const SimTime per_op = kOpServeNs;
-  fabric_.fault_plan().CrashNode(nodes_[1], t_arrive + per_op * 2 + 1);
+  exec::RunOnEngine([&] {
+    Build();
+    // Publish 6 flows in one batch; the primary dies after applying (and
+    // replicating) exactly 2 of them. The client observes silence, backs
+    // off, and resends to the promoted backup, which answers the first two
+    // ops from its dedup window and applies the rest — nothing lost, nothing
+    // double-applied (a double apply would surface as kAlreadyExists).
+    const uint32_t kOps = 6;
+    const SimTime hop =
+        Hop(nodes_[0], nodes_[1], 0, kOpWireBytes * kOps);
+    const SimTime t_arrive = hop;
+    const SimTime per_op = kOpServeNs;
+    fabric_.fault_plan().CrashNode(nodes_[1], t_arrive + per_op * 2 + 1);
 
-  VirtualClock clock;
-  RegistryClient client(
-      service_.get(),
-      RegistryClientOptions{.client_id = 1, .node = nodes_[0]}, &clock);
-  std::vector<std::pair<std::string, std::shared_ptr<FlowStateBase>>> flows;
-  for (uint32_t i = 0; i < kOps; ++i) {
-    flows.emplace_back("f" + std::to_string(i), State(static_cast<int>(i)));
-  }
-  auto pub = client.PublishBatch(flows);
-  ASSERT_TRUE(pub.ok());
-  for (uint32_t i = 0; i < kOps; ++i) {
-    EXPECT_TRUE((*pub)[i].status.ok())
-        << "op " << i << ": " << (*pub)[i].status.ToString();
-  }
-  EXPECT_EQ((*pub)[0].duplicate, true);   // prefix answered from the window
-  EXPECT_EQ((*pub)[1].duplicate, true);
-  EXPECT_EQ((*pub)[2].duplicate, false);  // rest applied fresh
-  EXPECT_EQ(service_->duplicates_suppressed(), 2u);
-  EXPECT_EQ(service_->TotalFlows(clock.now()), kOps);
-  const RegistryClientStats stats = client.stats();
-  EXPECT_GE(stats.retries, 1u);
+    VirtualClock clock;
+    RegistryClient client(
+        service_.get(),
+        RegistryClientOptions{.client_id = 1, .node = nodes_[0]}, &clock);
+    std::vector<std::pair<std::string, std::shared_ptr<FlowStateBase>>> flows;
+    for (uint32_t i = 0; i < kOps; ++i) {
+      flows.emplace_back("f" + std::to_string(i), State(static_cast<int>(i)));
+    }
+    auto pub = client.PublishBatch(flows);
+    ASSERT_TRUE(pub.ok());
+    for (uint32_t i = 0; i < kOps; ++i) {
+      EXPECT_TRUE((*pub)[i].status.ok())
+          << "op " << i << ": " << (*pub)[i].status.ToString();
+    }
+    EXPECT_EQ((*pub)[0].duplicate, true);   // prefix answered from the window
+    EXPECT_EQ((*pub)[1].duplicate, true);
+    EXPECT_EQ((*pub)[2].duplicate, false);  // rest applied fresh
+    EXPECT_EQ(service_->duplicates_suppressed(), 2u);
+    EXPECT_EQ(service_->TotalFlows(clock.now()), kOps);
+    const RegistryClientStats stats = client.stats();
+    EXPECT_GE(stats.retries, 1u);
 
-  // Every flow is retrievable from the promoted primary.
-  for (uint32_t i = 0; i < kOps; ++i) {
-    auto r = client.Retrieve("f" + std::to_string(i));
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(ValueOf(*r), static_cast<int>(i));
-  }
+    // Every flow is retrievable from the promoted primary.
+    for (uint32_t i = 0; i < kOps; ++i) {
+      auto r = client.Retrieve("f" + std::to_string(i));
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(ValueOf(*r), static_cast<int>(i));
+    }
+  });
 }
 
 TEST_F(ReplicatedRegistryTest, AllReplicasCrashedReportsPeerFailed) {
@@ -256,20 +258,22 @@ TEST_F(ReplicatedRegistryTest, AllReplicasCrashedReportsPeerFailed) {
 }
 
 TEST_F(ReplicatedRegistryTest, PartitionedClientExhaustsRetryDeadline) {
-  Build();
-  fabric_.fault_plan().Partition({nodes_[0]}, /*at=*/0);
-  VirtualClock clock;
-  RegistryClient client(
-      service_.get(),
-      RegistryClientOptions{.client_id = 1, .node = nodes_[0]}, &clock);
-  const Status s = client.Publish("f", State(1));
-  EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
-  const RegistryClientStats stats = client.stats();
-  EXPECT_GE(stats.retries, 2u);  // capped exponential backoff ran
-  // The client gives up once the next backoff would cross the deadline,
-  // after observing the last silence (one round trip past a resend).
-  EXPECT_GT(clock.now(), kRetryDeadlineNs - kBackoffCapNs);
-  EXPECT_LE(clock.now(), kRetryDeadlineNs + 100'000);
+  exec::RunOnEngine([&] {
+    Build();
+    fabric_.fault_plan().Partition({nodes_[0]}, /*at=*/0);
+    VirtualClock clock;
+    RegistryClient client(
+        service_.get(),
+        RegistryClientOptions{.client_id = 1, .node = nodes_[0]}, &clock);
+    const Status s = client.Publish("f", State(1));
+    EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
+    const RegistryClientStats stats = client.stats();
+    EXPECT_GE(stats.retries, 2u);  // capped exponential backoff ran
+    // The client gives up once the next backoff would cross the deadline,
+    // after observing the last silence (one round trip past a resend).
+    EXPECT_GT(clock.now(), kRetryDeadlineNs - kBackoffCapNs);
+    EXPECT_LE(clock.now(), kRetryDeadlineNs + 100'000);
+  });
 }
 
 TEST_F(ReplicatedRegistryTest, ClientCacheFencedByEpochBump) {
