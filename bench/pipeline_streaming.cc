@@ -10,12 +10,12 @@
 // RPC, and executed as engine actors.
 //
 // Three sections:
-//  1. End-to-end run (engine, 4 workers): stage counts, completion,
-//     ingest throughput, and end-to-end row latency p50/p95/p99 (subscriber
-//     consume time minus the row's newest tuple timestamp).
-//  2. Determinism: the same pipeline at engine pool sizes 1/2/4 must
-//     produce identical window content (group -> (COUNT, SUM) map) and
-//     identical per-subscriber commutative fingerprints.
+//  1. End-to-end run: stage counts, completion, ingest throughput, and
+//     end-to-end row latency p50/p95/p99 (subscriber consume time minus
+//     the row's newest tuple timestamp).
+//  2. Determinism: a second run of the same pipeline must produce
+//     identical window content (group -> (COUNT, SUM) map) and completion
+//     time.
 //  3. Skew: zipf 0.99 ingest keys, static vs adaptive shuffle edge —
 //     the graph relays FlowOptions per edge, so the pipeline inherits the
 //     skew resilience of the flow layer.
@@ -43,21 +43,15 @@ pipeline::PipelineConfig Config() {
   return cfg;
 }
 
-/// Runs the pipeline inside an engine with `pool` workers.
-pipeline::PipelineResult RunEngine(const pipeline::PipelineConfig& cfg,
-                                   uint32_t pool) {
+/// Runs the pipeline on a fresh engine.
+pipeline::PipelineResult RunPipeline(const pipeline::PipelineConfig& cfg) {
   net::Fabric fabric;
   auto addrs = MakeCluster(&fabric, cfg.num_nodes);
   DfiRuntime dfi(&fabric);
-  pipeline::PipelineResult result;
-  exec::Engine engine({.workers = pool, .lookahead_ns = 1000});
-  engine.Spawn(0, "pipeline-root", [&] {
-    auto r = pipeline::RunStreamingPipeline(&dfi, addrs, cfg);
-    DFI_CHECK_OK(r.status());
-    result = std::move(*r);
-  });
-  engine.Run();
-  return result;
+  auto r = exec::RunOnEngine(
+      [&] { return pipeline::RunStreamingPipeline(&dfi, addrs, cfg); });
+  DFI_CHECK_OK(r.status());
+  return std::move(*r);
 }
 
 /// Order-insensitive digest of the full window content map.
@@ -74,7 +68,7 @@ void Run() {
 
   PrintSection(g_smoke ? "Streaming pipeline, end to end (smoke scale)"
                        : "Streaming pipeline, end to end (8 nodes)");
-  pipeline::PipelineResult r = RunEngine(cfg, 4);
+  pipeline::PipelineResult r = RunPipeline(cfg);
   {
     TablePrinter t({"stage", "tuples/rows", "note"});
     t.AddRow({"ingest", Num(static_cast<double>(r.tuples_ingested)),
@@ -110,29 +104,27 @@ void Run() {
   RecordMetric("rows_published", static_cast<double>(r.rows_published),
                "rows");
 
-  PrintSection("Determinism: engine pool sizes 1 / 2 / 4");
+  PrintSection("Determinism: two runs");
   {
-    TablePrinter t({"pool", "window groups", "content digest", "match"});
-    const uint64_t want = WindowDigest(r);
-    bool all_match = true;
-    for (uint32_t pool : {1u, 2u, 4u}) {
-      const pipeline::PipelineResult p = RunEngine(cfg, pool);
-      const uint64_t digest = WindowDigest(p);
-      const bool match = digest == want && p.windows == r.windows;
-      all_match = all_match && match;
+    TablePrinter t({"run", "window groups", "content digest", "completion",
+                    "match"});
+    const pipeline::PipelineResult p = RunPipeline(cfg);
+    const bool match = WindowDigest(p) == WindowDigest(r) &&
+                       p.windows == r.windows && p.completion == r.completion;
+    auto add_row = [&](const char* run, const pipeline::PipelineResult& x) {
       char hex[32];
-      std::snprintf(hex, sizeof(hex), "%016" PRIx64, digest);
-      t.AddRow({std::to_string(pool),
-                Num(static_cast<double>(p.windows.size())), hex,
-                match ? "yes" : "NO"});
-    }
+      std::snprintf(hex, sizeof(hex), "%016" PRIx64, WindowDigest(x));
+      t.AddRow({run, Num(static_cast<double>(x.windows.size())), hex,
+                Millis(x.completion), match ? "yes" : "NO"});
+    };
+    add_row("1", r);
+    add_row("2", p);
     t.Print();
-    DFI_CHECK(all_match) << "pipeline content differs across pool sizes";
-    RecordMetric("determinism_pools_match", all_match ? 1 : 0, "bool");
+    DFI_CHECK(match) << "pipeline differs between two runs";
+    RecordMetric("determinism_runs_match", match ? 1 : 0, "bool");
     std::printf(
-        "(window assignment is a pure function of tuple content, and the\n"
-        " combiner folds are commutative — content is identical at any\n"
-        " engine pool size)\n");
+        "(one OS thread runs every actor in virtual-time order, so content\n"
+        " and timing repeat exactly)\n");
   }
 
   PrintSection("Skew: zipf 0.99 ingest keys, static vs adaptive shuffle");
@@ -140,9 +132,9 @@ void Run() {
     pipeline::PipelineConfig skew = cfg;
     skew.zipf_theta = 0.99;
     skew.adaptive_shuffle = false;
-    pipeline::PipelineResult s = RunEngine(skew, 4);
+    pipeline::PipelineResult s = RunPipeline(skew);
     skew.adaptive_shuffle = true;
-    pipeline::PipelineResult a = RunEngine(skew, 4);
+    pipeline::PipelineResult a = RunPipeline(skew);
     const double speedup =
         static_cast<double>(s.completion) / static_cast<double>(a.completion);
     char sp[32];

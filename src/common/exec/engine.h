@@ -1,13 +1,12 @@
 #ifndef DFI_COMMON_EXEC_ENGINE_H_
 #define DFI_COMMON_EXEC_ENGINE_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -19,60 +18,51 @@ class Engine;
 struct Task;
 
 /// Park list embedded in a blocking primitive (RingSync, ReadyGate, MPI
-/// mailboxes). Tasks park here instead of sleeping an OS thread; WakeAll()
-/// moves every parked task back to its run queue.
-///
-/// Lost-wakeup protocol (Dekker-style, see DESIGN.md §engine): a parker
-/// increments `nparked_` *before* re-checking the caller's version predicate
-/// under the scheduler lock; a notifier bumps its version *before* reading
-/// `nparked_`. Both sides use seq_cst, so at least one of them observes the
-/// other: either the parker sees the new version and declines to park, or
-/// the notifier sees the parker and takes the scheduler lock to wake it.
+/// mailboxes). Tasks park here; WakeAll() makes every parked task runnable
+/// again. Everything runs on the engine's one OS thread, so a predicate
+/// checked right before parking cannot miss a wakeup.
 class WaitPoint {
  public:
   WaitPoint() = default;
   WaitPoint(const WaitPoint&) = delete;
   WaitPoint& operator=(const WaitPoint&) = delete;
 
-  /// Moves every parked task back to its run queue. Cheap when nothing is
-  /// parked or no engine is active (one atomic load).
+  /// Makes every parked task runnable. Cheap when nothing is parked.
   void WakeAll();
 
  private:
   friend class Engine;
-  std::atomic<uint32_t> nparked_{0};
-  std::vector<Task*> waiters_;  // guarded by Engine::mu_
+  std::vector<Task*> waiters_;
 };
 
 /// Why a timed park returned.
 enum class WakeCause : uint8_t { kNotified, kTimer };
 
+/// Fiber stack size (plus one guard page).
+inline constexpr size_t kFiberStackBytes = 256 * 1024;
+
+/// Compatibility fields only: the engine always runs on one OS thread.
+/// The repository benchmark still constructs
+/// `Engine({.workers = 1, .lookahead_ns = 1000})`; a later change to the
+/// benchmark removes both fields. No other caller may set them.
 struct EngineOptions {
-  /// Worker pool size; 0 = std::thread::hardware_concurrency().
-  uint32_t workers = 0;
-  /// Conservative lookahead window in virtual ns: a task may run while its
-  /// virtual time is within `lookahead_ns` of the engine-wide floor. Derive
-  /// from the minimum link latency (SimConfig::propagation_ns +
-  /// SimConfig::nic_process_ns) for network workloads.
-  SimTime lookahead_ns = 1000;
-  /// Fiber stack size (plus one guard page).
-  size_t stack_bytes = 256 * 1024;
+  uint32_t workers = 1;  // must be 1
+  SimTime lookahead_ns = 1000;  // ignored
 };
 
-/// Deterministic work-stealing virtual-time engine. Emulated actors are
-/// cooperatively scheduled stackful fibers, switched in user space without
-/// a syscall (x86-64 only), with per-domain (per emulated node) run queues
-/// ordered by (virtual time, spawn id); a fixed worker pool executes any
-/// task whose virtual time lies within a conservative lookahead window of
-/// the engine-wide virtual-time floor, stealing the globally minimal task
-/// when a worker's own domains drain. Blocking
-/// primitives park the fiber (WaitPoint) instead of sleeping the OS thread,
-/// so hundreds of emulated nodes run on a handful of host threads.
+/// Deterministic virtual-time engine. Emulated actors are cooperatively
+/// scheduled stackful fibers, switched in user space without a syscall
+/// (x86-64 only), all on the OS thread that calls Run(). The scheduler
+/// always resumes the runnable task with the smallest (virtual time, spawn
+/// id); a task parked with a timer becomes runnable once every runnable
+/// task's virtual time has passed the timer. One thread and one total order
+/// make every run of a workload identical.
 ///
 /// Usage:
-///   exec::Engine engine({.workers = 2, .lookahead_ns = 850});
-///   engine.Spawn(node_id, "source-3", [&] { ... });
+///   exec::Engine engine;
+///   engine.Spawn(0, "source-3", [&] { ... });
 ///   engine.Run();  // returns when every task has finished
+/// or, for one root task, exec::RunOnEngine(fn).
 class Engine {
  public:
   /// Sentinel for Park(): no timer, wake on Notify only.
@@ -84,29 +74,23 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Adds a task to `domain`'s run queue (domains are created on demand).
-  /// Callable before Run() and from inside a running task.
+  /// Adds a task. Callable before Run() and from inside a running task.
+  /// `domain` is ignored (kept for existing callers).
   void Spawn(uint32_t domain, std::string name, std::function<void()> fn);
 
-  /// Runs until all spawned tasks finish. The calling thread acts as worker
-  /// 0, so `workers == 1` uses no extra OS threads.
+  /// Runs until all spawned tasks finish, on the calling thread. Dies with
+  /// the list of parked tasks if live tasks remain but none can ever run.
   void Run();
-
-  uint32_t workers() const { return workers_; }
 
   /// Engine owning the calling fiber; nullptr on a plain OS thread.
   static Engine* Current();
-  /// Engine currently inside Run(), if any (any calling thread).
-  static Engine* Active();
 
   /// Parks the calling task on `wp` until WakeAll, or, when
-  /// `wake_at != kNoTimer`, until the engine's virtual floor reaches
-  /// `wake_at` (DES-style jump: an idle fleet skips straight to the next
-  /// wake time instead of sleeping real time). `changed` is re-evaluated
-  /// under the scheduler lock after registering as a waiter; if it already
-  /// returns true the park is skipped. `now` (>= 0) reports the task's
-  /// current virtual time for run-queue ordering and floor computation;
-  /// pass a negative value to keep the last reported time.
+  /// `wake_at != kNoTimer`, until the engine reaches virtual time `wake_at`
+  /// (a DES jump: an idle fleet skips straight to the next wake time).
+  /// If `changed` already returns true the park is skipped. `now` (>= 0)
+  /// reports the task's current virtual time for scheduling order; pass a
+  /// negative value to keep the last reported time.
   template <typename Pred>
   static WakeCause Park(WaitPoint* wp, Pred&& changed, SimTime now,
                         SimTime wake_at) {
@@ -115,8 +99,8 @@ class Engine {
     return ParkImpl(wp, thunk, &changed, now, wake_at);
   }
 
-  /// Cooperative yield: re-enqueues the calling task at virtual time `now`
-  /// and lets the scheduler pick the minimal eligible task.
+  /// Cooperative yield at virtual time `now`: lets every task that orders
+  /// before the caller run first.
   static void Yield(SimTime now);
 
  private:
@@ -131,7 +115,6 @@ class Engine {
                             SimTime now, SimTime wake_at);
 
   std::unique_ptr<Impl> impl_;
-  uint32_t workers_ = 1;
 };
 
 /// Monotone counter bumped on every Notify/Enqueue in the process — the
@@ -159,9 +142,8 @@ class ActorGroup {
 
  private:
   friend class Engine;
-  std::atomic<uint32_t> live_{0};
+  uint32_t live_ = 0;
   WaitPoint done_;
-  Engine* engine_ = nullptr;
 };
 
 /// Runs `fn` as the root task of a fresh engine on the calling thread and
@@ -170,7 +152,7 @@ class ActorGroup {
 template <typename Fn>
 auto RunOnEngine(Fn&& fn) -> std::invoke_result_t<Fn&> {
   using R = std::invoke_result_t<Fn&>;
-  Engine engine({.workers = 1});
+  Engine engine;
   if constexpr (std::is_void_v<R>) {
     engine.Spawn(0, "root", [&] { fn(); });
     engine.Run();

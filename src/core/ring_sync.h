@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 
 #include "common/exec/engine.h"
 
@@ -26,29 +25,22 @@ class RingSync {
 
   /// Wakes all waiters; call after any footer state change.
   void Notify() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++version_;
-    }
+    ++version_;
     wait_point_.WakeAll();
     exec::BumpProgress();
   }
 
-  uint64_t version() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return version_;
-  }
+  uint64_t version() const { return version_; }
 
   exec::WaitPoint& wait_point() { return wait_point_; }
 
  private:
-  mutable std::mutex mu_;
   exec::WaitPoint wait_point_;
   uint64_t version_ = 0;
 };
 
 /// Per-target ready-channel gate: RingSync-style versioned wakeups plus a
-/// multi-producer queue of channel indices with pending deliveries.
+/// queue of channel indices with pending deliveries.
 ///
 /// Every channel of one target thread shares the target's gate. A source
 /// enqueues its channel index right after delivering a segment (one entry
@@ -71,18 +63,14 @@ class ReadyGate {
   /// Announces one delivered segment on `channel_index` and wakes the
   /// target.
   void Enqueue(uint32_t channel_index) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ready_.push_back(channel_index);
-      ++version_;
-    }
+    ready_.push_back(channel_index);
+    ++version_;
     wait_point_.WakeAll();
     exec::BumpProgress();
   }
 
   /// Pops the oldest announced channel index; false when none is pending.
   bool TryDequeue(uint32_t* channel_index) {
-    std::lock_guard<std::mutex> lock(mu_);
     if (ready_.empty()) return false;
     *channel_index = ready_.front();
     ready_.pop_front();
@@ -92,25 +80,18 @@ class ReadyGate {
   /// Version-only wakeup (no ready entry), e.g. for state changes that are
   /// not segment deliveries.
   void Notify() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++version_;
-    }
+    ++version_;
     wait_point_.WakeAll();
     exec::BumpProgress();
   }
 
   /// Two-phase waiting, as in RingSync: capture the version *before*
   /// draining the queue.
-  uint64_t version() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return version_;
-  }
+  uint64_t version() const { return version_; }
 
   exec::WaitPoint& wait_point() { return wait_point_; }
 
  private:
-  mutable std::mutex mu_;
   exec::WaitPoint wait_point_;
   std::deque<uint32_t> ready_;
   uint64_t version_ = 0;

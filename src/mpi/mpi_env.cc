@@ -94,10 +94,7 @@ Status MpiEnv::Send(int src_rank, int dst_rank, int tag, const void* buf,
     msg->rendezvous = false;
     msg->bytes = bytes;
     msg->sender_post = clock->now();
-    {
-      std::lock_guard<std::mutex> lock(mb.mu);
-      mb.messages.push_back(std::move(msg));
-    }
+    mb.messages.push_back(std::move(msg));
     mb.wait_point.WakeAll();
     exec::BumpProgress();
     return Status::OK();
@@ -110,19 +107,11 @@ Status MpiEnv::Send(int src_rank, int dst_rank, int tag, const void* buf,
   msg->src_buf = buf;
   msg->bytes = bytes;
   msg->sender_post = clock->now();
-  {
-    std::lock_guard<std::mutex> lock(mb.mu);
-    mb.messages.push_back(msg);
-  }
+  mb.messages.push_back(msg);
   mb.wait_point.WakeAll();
   exec::BumpProgress();
-  // Park until the receiver matches. The predicate is evaluated after the
-  // park intent is published, so a match racing with the park is never
-  // lost.
-  auto matched = [&] {
-    std::lock_guard<std::mutex> lock(mb.mu);
-    return msg->matched;
-  };
+  // Park until the receiver matches.
+  auto matched = [&] { return msg->matched; };
   while (!matched()) {
     exec::Engine::Park(&mb.wait_point, matched, clock->now(),
                        exec::Engine::kNoTimer);
@@ -141,23 +130,13 @@ Status MpiEnv::Recv(int dst_rank, int src_rank, int tag, void* buf,
   const net::SimConfig& cfg = config();
   Mailbox& mb = mailbox(src_rank, dst_rank, tag);
 
-  std::shared_ptr<Message> msg;
-  auto has_message = [&] {
-    std::lock_guard<std::mutex> lock(mb.mu);
-    return !mb.messages.empty();
-  };
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mb.mu);
-      if (!mb.messages.empty()) {
-        msg = mb.messages.front();
-        mb.messages.pop_front();
-        break;
-      }
-    }
+  auto has_message = [&] { return !mb.messages.empty(); };
+  while (!has_message()) {
     exec::Engine::Park(&mb.wait_point, has_message, clock->now(),
                        exec::Engine::kNoTimer);
   }
+  std::shared_ptr<Message> msg = mb.messages.front();
+  mb.messages.pop_front();
   if (msg->bytes != bytes) {
     return Status::InvalidArgument(
         "receive size mismatch: posted " + std::to_string(bytes) +
@@ -184,11 +163,8 @@ Status MpiEnv::Recv(int dst_rank, int src_rank, int tag, void* buf,
           .ingress()
           .Reserve(egress.end + cfg.propagation_ns, bytes);
   std::memcpy(buf, msg->src_buf, bytes);
-  {
-    std::lock_guard<std::mutex> lock(mb.mu);
-    msg->sender_done = egress.end;
-    msg->matched = true;
-  }
+  msg->sender_done = egress.end;
+  msg->matched = true;
   mb.wait_point.WakeAll();
   exec::BumpProgress();
   clock->AdvanceTo(ingress.end);
@@ -196,34 +172,25 @@ Status MpiEnv::Recv(int dst_rank, int src_rank, int tag, void* buf,
 }
 
 SimTime MpiEnv::BarrierJoin(BarrierState& state, VirtualClock* clock) {
-  std::unique_lock<std::mutex> lock(state.mu);
   state.max_time = std::max(state.max_time, clock->now());
   if (++state.waiting == rank_nodes_.size()) {
     state.release_time = state.max_time;
     state.max_time = 0;
     state.waiting = 0;
     ++state.generation;
-    lock.unlock();
     state.wait_point.WakeAll();
     exec::BumpProgress();
     clock->AdvanceTo(state.release_time);
     return state.release_time;
   }
   const uint64_t gen = state.generation;
-  lock.unlock();
-  auto released = [&] {
-    std::lock_guard<std::mutex> relock(state.mu);
-    return state.generation != gen;
-  };
+  auto released = [&] { return state.generation != gen; };
   while (!released()) {
     exec::Engine::Park(&state.wait_point, released, clock->now(),
                        exec::Engine::kNoTimer);
   }
-  lock.lock();
-  const SimTime release = state.release_time;
-  lock.unlock();
-  clock->AdvanceTo(release);
-  return release;
+  clock->AdvanceTo(state.release_time);
+  return state.release_time;
 }
 
 Status MpiEnv::Barrier(int rank, VirtualClock* clock) {

@@ -105,14 +105,12 @@ class MpiEnv {
   };
 
   struct Mailbox {
-    std::mutex mu;
     exec::WaitPoint wait_point;
     std::deque<std::shared_ptr<Message>> messages;
   };
 
   /// Generation-counted reusable barrier over all ranks with clock join.
   struct BarrierState {
-    std::mutex mu;
     exec::WaitPoint wait_point;
     uint32_t waiting = 0;
     uint64_t generation = 0;

@@ -1,6 +1,6 @@
-// Unit tests for the deterministic work-stealing virtual-time engine
-// (src/common/exec): task scheduling order, WaitPoint park/wake, timed
-// parks (DES jumps), ActorGroup spawn/join in both modes, the
+// Unit tests for the deterministic virtual-time engine (src/common/exec):
+// task scheduling order, Yield ordering, WaitPoint park/wake, timed parks
+// (DES jumps), the stall diagnostic, ActorGroup spawn/join, the
 // progress-epoch idle protocol, and the fiber switch itself (per-fiber
 // floating-point control state, unwinding, stack recycling, deep stacks).
 
@@ -22,7 +22,7 @@ namespace dfi::exec {
 namespace {
 
 TEST(EngineTest, RunsAllTasks) {
-  Engine engine({.workers = 1});
+  Engine engine;
   std::atomic<int> ran{0};
   for (int i = 0; i < 10; ++i) {
     engine.Spawn(i, "t", [&] { ran.fetch_add(1); });
@@ -33,7 +33,7 @@ TEST(EngineTest, RunsAllTasks) {
 
 TEST(EngineTest, CurrentIsNullOutsideAndSetInside) {
   EXPECT_EQ(Engine::Current(), nullptr);
-  Engine engine({.workers = 1});
+  Engine engine;
   bool inside = false;
   engine.Spawn(0, "probe", [&] { inside = Engine::Current() == &engine; });
   engine.Run();
@@ -41,10 +41,10 @@ TEST(EngineTest, CurrentIsNullOutsideAndSetInside) {
   EXPECT_EQ(Engine::Current(), nullptr);
 }
 
-TEST(EngineTest, SingleWorkerRunsInVirtualTimeOrder) {
-  // With one worker and disjoint virtual times, tasks must execute in
-  // (virtual time, spawn id) order regardless of spawn order.
-  Engine engine({.workers = 1, .lookahead_ns = 0});
+TEST(EngineTest, RunsInVirtualTimeOrder) {
+  // With disjoint virtual times, tasks must execute in (virtual time, spawn
+  // id) order regardless of spawn order.
+  Engine engine;
   std::vector<int> order;
   // Spawned in reverse virtual-time order; Yield re-enqueues at the given
   // virtual time, so the scheduler must sort them.
@@ -60,8 +60,97 @@ TEST(EngineTest, SingleWorkerRunsInVirtualTimeOrder) {
   for (int i = 0; i < 5; ++i) EXPECT_EQ(order[i], i);
 }
 
+TEST(EngineTest, YieldWhileMinimalContinues) {
+  // The caller still orders before every other task: it keeps running.
+  Engine engine;
+  std::vector<std::string> order;
+  engine.Spawn(0, "first", [&] {
+    Engine::Yield(10);
+    order.push_back("first@10");
+    Engine::Yield(20);
+    order.push_back("first@20");
+    Engine::Yield(200);
+    order.push_back("first@200");
+  });
+  engine.Spawn(0, "second", [&] {
+    Engine::Yield(100);
+    order.push_back("second@100");
+  });
+  engine.Run();
+  // `second` starts at vt 0 with a higher id, so it runs once `first`
+  // first yields to vt 10, reports vt 100, and then waits for `first` to
+  // pass it.
+  EXPECT_EQ(order, (std::vector<std::string>{"first@10", "first@20",
+                                             "second@100", "first@200"}));
+}
+
+TEST(EngineTest, YieldBehindAnotherTaskLetsItRunFirst) {
+  Engine engine;
+  std::vector<std::string> order;
+  engine.Spawn(0, "behind", [&] {
+    Engine::Yield(50);
+    order.push_back("behind@50");
+  });
+  engine.Spawn(0, "ahead", [&] {
+    Engine::Yield(20);
+    order.push_back("ahead@20");
+  });
+  engine.Run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"ahead@20", "behind@50"}));
+}
+
+TEST(EngineTest, YieldAtEqualTimeRunsLowerSpawnIdFirst) {
+  Engine engine;
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    engine.Spawn(0, "t" + std::to_string(i), [&, i] {
+      Engine::Yield(100);
+      order.push_back(i);
+      Engine::Yield(100);
+      order.push_back(10 + i);
+    });
+  }
+  engine.Run();
+  // At equal virtual time the lowest spawn id always runs: task 0 never
+  // gives way to tasks 1 and 2.
+  EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 11, 2, 12}));
+}
+
+TEST(EngineTest, YieldDefersToTimerDueAtTheSameTime) {
+  // A timer due at the caller's own virtual time releases its task with
+  // that virtual time; the lower spawn id runs first.
+  Engine engine;
+  WaitPoint wp;
+  std::vector<std::string> order;
+  engine.Spawn(0, "sleeper", [&] {
+    Engine::Park(&wp, [] { return false; }, /*now=*/0, /*wake_at=*/100);
+    order.push_back("sleeper@100");
+  });
+  engine.Spawn(0, "yielder", [&] {
+    Engine::Yield(100);
+    order.push_back("yielder@100");
+  });
+  engine.Run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"sleeper@100", "yielder@100"}));
+}
+
+TEST(EngineDeathTest, TaskParkedForeverWithoutTimerDiesNamingIt) {
+  EXPECT_DEATH(
+      {
+        Engine engine;
+        WaitPoint wp;
+        engine.Spawn(0, "forever-parked",
+                     [&] { Engine::Park(&wp, [] { return false; }, 0,
+                                        Engine::kNoTimer); });
+        engine.Run();
+      },
+      "engine stalled: parked tasks never woken: forever-parked");
+}
+
 TEST(EngineTest, ParkAndWakeAll) {
-  Engine engine({.workers = 1});
+  Engine engine;
   WaitPoint wp;
   std::mutex mu;
   bool flag = false;
@@ -89,7 +178,7 @@ TEST(EngineTest, ParkAndWakeAll) {
 }
 
 TEST(EngineTest, ParkDeclinesWhenPredicateAlreadyTrue) {
-  Engine engine({.workers = 1});
+  Engine engine;
   WaitPoint wp;
   WakeCause cause = WakeCause::kTimer;
   engine.Spawn(0, "t", [&] {
@@ -103,7 +192,7 @@ TEST(EngineTest, TimedParkJumpsVirtualTime) {
   // A lone task parked with a timer must be released by the virtual-time
   // floor reaching its wake time (a DES jump) — no real-time sleeping, no
   // notifier. If the engine waited in real time this test would hang.
-  Engine engine({.workers = 1});
+  Engine engine;
   WaitPoint wp;
   WakeCause cause = WakeCause::kNotified;
   engine.Spawn(0, "sleeper", [&] {
@@ -115,7 +204,7 @@ TEST(EngineTest, TimedParkJumpsVirtualTime) {
 }
 
 TEST(EngineTest, SpawnFromInsideTask) {
-  Engine engine({.workers = 1});
+  Engine engine;
   std::atomic<int> ran{0};
   engine.Spawn(0, "parent", [&] {
     ran.fetch_add(1);
@@ -125,31 +214,11 @@ TEST(EngineTest, SpawnFromInsideTask) {
   EXPECT_EQ(ran.load(), 2);
 }
 
-TEST(EngineTest, MultiWorkerCompletesAllTasks) {
-  Engine engine({.workers = 4});
-  std::atomic<int> ran{0};
-  WaitPoint wp;
-  std::atomic<bool> flag{false};
-  for (int i = 0; i < 32; ++i) {
-    engine.Spawn(static_cast<uint32_t>(i % 8), "t", [&] {
-      auto done = [&] { return flag.load(); };
-      while (!done()) Engine::Park(&wp, done, 0, Engine::kNoTimer);
-      ran.fetch_add(1);
-    });
-  }
-  engine.Spawn(99, "setter", [&] {
-    flag.store(true);
-    wp.WakeAll();
-  });
-  engine.Run();
-  EXPECT_EQ(ran.load(), 32);
-}
-
 TEST(EngineTest, FibersKeepTheirOwnRoundingMode) {
   // The switch saves MXCSR (SSE) and the x87 control word per fiber. Two
   // fibers with different rounding modes alternate on one worker; each must
   // keep computing in its own mode, and the worker's mode must survive.
-  Engine engine({.workers = 1, .lookahead_ns = 0});
+  Engine engine;
   const int modes[2] = {FE_UPWARD, FE_TOWARDZERO};
   std::vector<int> order;
   int mismatches = 0;
@@ -180,7 +249,7 @@ TEST(EngineTest, FibersKeepTheirOwnRoundingMode) {
 }
 
 TEST(EngineTest, ExceptionUnwindsInsideFiberAcrossPark) {
-  Engine engine({.workers = 1});
+  Engine engine;
   WaitPoint wp;
   bool flag = false;
   int destroyed = 0;
@@ -214,7 +283,7 @@ TEST(EngineTest, StackChurnRecyclesFiberStacks) {
   // stack poison left by a dead fiber.
   constexpr int kWaves = 10;
   constexpr int kPerWave = 250;
-  Engine engine({.workers = 1});
+  Engine engine;
   std::atomic<int> ran{0};
   engine.Spawn(0, "root", [&] {
     for (int wave = 0; wave < kWaves; ++wave) {
@@ -250,8 +319,9 @@ TEST(EngineTest, StackChurnRecyclesFiberStacks) {
 }
 
 TEST(EngineTest, TaskUsesMostOfItsStack) {
+  static_assert(kFiberStackBytes == 256 * 1024);
   constexpr int kDepth = 50;  // 50 x 4 KiB = 200 KiB of a 256 KiB stack
-  Engine engine({.workers = 1, .stack_bytes = 256 * 1024});
+  Engine engine;
   uint64_t sum = 0;
   uintptr_t used = 0;
   engine.Spawn(0, "deep", [&] {
@@ -276,7 +346,7 @@ TEST(ActorGroupDeathTest, SpawnOutsideEngineDies) {
 }
 
 TEST(ActorGroupTest, EngineModeInsideTask) {
-  Engine engine({.workers = 2});
+  Engine engine;
   std::atomic<int> ran{0};
   engine.Spawn(0, "root", [&] {
     ActorGroup group;
@@ -297,7 +367,7 @@ TEST(ProgressEpochTest, BumpAdvancesAndIdleWaitReturns) {
 }
 
 TEST(ProgressEpochTest, IdleWaitParksUntilBump) {
-  Engine engine({.workers = 1});
+  Engine engine;
   std::vector<int> order;
   engine.Spawn(0, "poller", [&] {
     const uint64_t seen = ProgressEpoch();
