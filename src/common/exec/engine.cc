@@ -422,6 +422,13 @@ void Engine::Yield(SimTime now) {
   if (t == nullptr) return;
   Impl* im = t->impl;
   if (now >= 0) t->vt = now;
+  // Return without a switch exactly when the scheduler would pick the
+  // caller again: no runnable task orders before it and no timer is due by
+  // its virtual time.
+  if ((im->heap_.empty() || Impl::HeapAfter(im->heap_.front(), t)) &&
+      (im->timed_.empty() || im->timed_.begin()->first > t->vt)) {
+    return;
+  }
   im->MakeRunnable(t);
   im->SwitchToScheduler(t);
 }

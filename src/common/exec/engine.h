@@ -100,7 +100,8 @@ class Engine {
   }
 
   /// Cooperative yield at virtual time `now`: lets every task that orders
-  /// before the caller run first.
+  /// before the caller run first. Returns without a fiber switch when the
+  /// caller would be picked again anyway.
   static void Yield(SimTime now);
 
  private:

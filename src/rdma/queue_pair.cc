@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "common/exec/engine.h"
 #include "common/logging.h"
 #include "rdma/dma_memory.h"
 #include "rdma/rdma_env.h"
@@ -50,6 +51,9 @@ OpTiming RcQueuePair::PlanWrite(uint32_t length, bool inlined,
 
   OpTiming t;
   t.post_done = clock->now();
+  // Links are reserved in virtual-time order: every task that posts
+  // earlier reserves first.
+  exec::Engine::Yield(t.post_done);
   const SimTime nic_ready = t.post_done + cfg.nic_process_ns;
   net::Fabric& fabric = env_->fabric();
   const net::TransferWindow egress =

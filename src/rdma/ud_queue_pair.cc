@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/exec/engine.h"
 #include "common/logging.h"
 #include "rdma/dma_memory.h"
 #include "rdma/rdma_env.h"
@@ -95,6 +96,7 @@ StatusOr<OpTiming> UdQueuePair::PostSend(uint32_t dst_qpn, const void* buf,
 
   OpTiming t;
   t.post_done = clock->now();
+  exec::Engine::Yield(t.post_done);  // reserve links in virtual-time order
   net::Fabric& fabric = env_->fabric();
   const net::TransferWindow egress = fabric.node(local_).egress().Reserve(
       t.post_done + cfg.nic_process_ns, length);
@@ -149,6 +151,7 @@ StatusOr<OpTiming> UdQueuePair::PostSendMulticast(net::MulticastGroupId group,
 
   OpTiming t;
   t.post_done = clock->now();
+  exec::Engine::Yield(t.post_done);  // reserve links in virtual-time order
   net::Fabric& fabric = env_->fabric();
   const net::TransferWindow egress = fabric.node(local_).egress().Reserve(
       t.post_done + cfg.nic_process_ns, length);
