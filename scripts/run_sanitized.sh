@@ -2,8 +2,9 @@
 # Sanitized CI job: builds everything with
 # -DDFI_SANITIZE=<address|undefined|thread> and runs the full test suite
 # (tier-1 plus the chaos suite) and the chaos consensus bench. Zero reports
-# is the acceptance bar — teardown/poison code is where lifetime bugs hide,
-# and the work-stealing scheduler is where data races would hide.
+# is the acceptance bar — teardown/poison code is where lifetime bugs hide.
+# The engine runs every actor as a fiber on one OS thread; TSan checks the
+# fiber switches and anything that still starts a thread.
 set -euo pipefail
 
 KIND="${1:-address}"
@@ -34,13 +35,8 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 "$BUILD/tests/core_adaptive_shuffle_property_test" --gtest_repeat=3 --gtest_shuffle
 # The engine's hand-written fiber switch: repeat the scheduler unit tests
 # under every sanitizer. ASan catches stale stack poison on recycled fiber
-# stacks; TSan checks the scheduler lock hand-off across each switch.
+# stacks; TSan follows each switch through its fiber annotations.
 "$BUILD/tests/exec_engine_test" --gtest_repeat=10 --gtest_shuffle
-if [ "$KIND" = "thread" ]; then
-  # TSan focus: the cross-pool-size determinism suite — every park/wake
-  # handoff and steal in the emulator runs under the race detector.
-  "$BUILD/tests/engine_determinism_test" --gtest_repeat=3
-fi
 # Multi-Paxos leader failover: RunMultiPaxos with a leader crash scripted
 # on the fault plan (abort/poison teardown across two flow sets).
 "$BUILD/bench/chaos_consensus" --seed "${DFI_CHAOS_SEED:-7}"

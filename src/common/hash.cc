@@ -8,7 +8,10 @@ namespace dfi {
 // AVX-512DQ the fmix64 chain (two 64-bit multiplies) vectorizes 8 keys
 // wide, which matters because the batched shuffle partitioner funnels every
 // 8-byte-key block through here. memcpy loads keep unaligned input legal.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// TSan builds leave the clones out: the loader runs the ifunc resolver,
+// which TSan instruments, before the TSan runtime is initialized.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("arch=x86-64-v4", "default")))
 #endif
 void HashKeys8(const void* keys, size_t n, uint64_t* out) {
