@@ -104,7 +104,7 @@ TEST(EngineTest, YieldAtEqualTimeRunsLowerSpawnIdFirst) {
   Engine engine;
   std::vector<int> order;
   for (int i = 0; i < 3; ++i) {
-    engine.Spawn(0, "t" + std::to_string(i), [&, i] {
+    engine.Spawn(0, std::string("t").append(std::to_string(i)), [&, i] {
       Engine::Yield(100);
       order.push_back(i);
       Engine::Yield(100);
