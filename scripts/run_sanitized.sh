@@ -33,6 +33,9 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 # threads and hot-key migration rewires routing mid-flow — both are prime
 # race/lifetime territory, so shake the property suite too.
 "$BUILD/tests/core_adaptive_shuffle_property_test" --gtest_repeat=3 --gtest_shuffle
+# LinkScheduler's flat gap store: head/offset index arithmetic on every
+# reservation, checked against the std::map reference model it replaced.
+"$BUILD/tests/net_test" --gtest_repeat=3 --gtest_shuffle
 # The engine's hand-written fiber switch: repeat the scheduler unit tests
 # under every sanitizer. ASan catches stale stack poison on recycled fiber
 # stacks; TSan follows each switch through its fiber annotations.

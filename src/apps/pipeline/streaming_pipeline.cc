@@ -1,7 +1,6 @@
 #include "apps/pipeline/streaming_pipeline.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "bench_util/workload.h"
 #include "common/hash.h"
@@ -46,9 +45,8 @@ static_assert(sizeof(PackedTuple) == 32, "densely packed");
 }  // namespace
 
 /// Shared sink-side state the subscriber bodies write into (one graph run's
-/// worth; guarded by `mu` — subscribers run concurrently).
+/// worth).
 struct PipelineCollector {
-  std::mutex mu;
   std::vector<uint64_t> fingerprints;
   std::vector<uint64_t> delivered;
   std::map<uint64_t, std::pair<uint64_t, uint64_t>> windows;  // subscriber 0
@@ -119,7 +117,6 @@ graph::GraphSpec MakePipelineSpec(const PipelineConfig& config,
     // engine pool sizes, the multiset of rows is.
     const uint64_t row_hash =
         HashU64(group * 0x9E3779B97F4A7C15ull ^ (count << 32) ^ sum);
-    std::lock_guard<std::mutex> lock(collector->mu);
     collector->fingerprints[ctx.worker] += row_hash;
     collector->delivered[ctx.worker] += 1;
     if (ctx.worker == 0) {

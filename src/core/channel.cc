@@ -62,12 +62,9 @@ void ChannelShared::IncrementConsumed() {
 }
 
 void ChannelShared::Poison(const Status& cause) {
-  {
-    std::lock_guard<std::mutex> lock(poison_mu_);
-    if (poisoned_.load(std::memory_order_relaxed)) return;  // first cause wins
-    poison_cause_ = cause.ok() ? Status::Aborted("flow aborted") : cause;
-    poisoned_.store(true, std::memory_order_release);
-  }
+  if (poisoned_.load(std::memory_order_relaxed)) return;  // first cause wins
+  poison_cause_ = cause.ok() ? Status::Aborted("flow aborted") : cause;
+  poisoned_.store(true, std::memory_order_release);
   sync_.Notify();
   if (target_gate_ != nullptr) target_gate_->Notify();
   if (steal_wake_ != nullptr) steal_wake_->Notify();
@@ -86,7 +83,6 @@ void ChannelShared::AnnounceConsumed() {
 
 Status ChannelShared::poison_status() const {
   if (!poisoned()) return Status::OK();
-  std::lock_guard<std::mutex> lock(poison_mu_);
   return poison_cause_;
 }
 

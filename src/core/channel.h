@@ -154,7 +154,6 @@ class ChannelShared {
   std::atomic<uint32_t> inflight_{0};
   std::unique_ptr<std::atomic<SimTime>[]> slot_free_time_;
   std::atomic<bool> poisoned_{false};
-  mutable std::mutex poison_mu_;
   Status poison_cause_;
 };
 

@@ -2,7 +2,6 @@
 #define DFI_CORE_ENDPOINT_ABORT_LATCH_H_
 
 #include <atomic>
-#include <mutex>
 
 #include "common/status.h"
 
@@ -24,7 +23,6 @@ class AbortLatch {
   /// it (the caller then performs the one-time teardown side effects, e.g.
   /// poisoning channels or waking credit waiters).
   bool Trip(const Status& cause) {
-    std::lock_guard<std::mutex> lock(mu_);
     if (tripped_.load(std::memory_order_relaxed)) return false;
     cause_ = cause.ok() ? Status::Aborted("flow aborted") : cause;
     tripped_.store(true, std::memory_order_release);
@@ -34,14 +32,10 @@ class AbortLatch {
   bool tripped() const { return tripped_.load(std::memory_order_acquire); }
 
   /// The teardown cause (OK when not tripped).
-  Status status() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cause_;
-  }
+  Status status() const { return cause_; }
 
  private:
   std::atomic<bool> tripped_{false};
-  mutable std::mutex mu_;
   Status cause_;
 };
 

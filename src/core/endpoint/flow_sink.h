@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -51,8 +50,6 @@ class StealColumn {
   std::atomic<SimTime> owner_now{0};
   std::atomic<SimTime> owner_cost{0};
 
-  /// All members below are guarded by `mu`.
-  std::mutex mu;
   std::vector<std::unique_ptr<ChannelTargetCursor>> cursors;  // per source
   /// Cursor is checked out by some sink (its segment is being iterated).
   std::vector<uint8_t> busy;
@@ -62,7 +59,7 @@ class StealColumn {
   std::vector<uint32_t> deferred;
   uint32_t exhausted = 0;  // cursors that reached end-of-flow
 
-  bool AllExhaustedLocked() const {
+  bool AllExhausted() const {
     return exhausted == static_cast<uint32_t>(cursors.size());
   }
 
@@ -82,8 +79,7 @@ class SinkStealGroup {
   const std::vector<StealColumn*>& columns() { return columns_; }
   ReadyGate& wake() { return wake_; }
 
-  /// True once every column of the group is fully drained (locks each
-  /// column briefly).
+  /// True once every column of the group is fully drained.
   bool AllExhausted();
 
  private:
@@ -164,11 +160,11 @@ class FlowSink {
 
   // Work-stealing-mode internals (column_ != nullptr).
   void ReleaseHeldColumn();
-  /// Replays deferred gate entries of cursor `idx` (column locked).
-  static void ReplayDeferredLocked(StealColumn* col, uint32_t idx);
+  /// Replays deferred gate entries of cursor `idx`.
+  static void ReplayDeferred(StealColumn* col, uint32_t idx);
   /// Pops and consumes from one column; fills out/out_result on success.
-  bool ScanColumnLocked(StealColumn* col, SegmentView* out,
-                        ConsumeResult* out_result);
+  bool ScanColumn(StealColumn* col, SegmentView* out,
+                  ConsumeResult* out_result);
   /// True when some channel of the own column runs its ring within one
   /// segment of full — its producer may be about to block on a slot that
   /// only consumption can free, so the peak sink must not defer.

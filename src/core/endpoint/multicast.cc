@@ -85,7 +85,6 @@ MulticastState::MulticastState(rdma::RdmaEnv* env,
   if (ordered()) {
     sequencer_mr_ = env_->context(sequencer_node())->AllocateRegion(64);
     histories_.resize(num_sources_);
-    for (auto& h : histories_) h = std::make_unique<History>();
   }
 }
 
@@ -203,20 +202,16 @@ Status MulticastState::WaitForCredit(
 
 void MulticastState::RecordHistory(uint32_t source, uint64_t seq,
                                    const uint8_t* data, uint32_t len) {
-  History& h = *histories_[source];
-  std::lock_guard<std::mutex> lock(h.mu);
-  h.segments.emplace(seq, std::vector<uint8_t>(data, data + len));
-  while (h.segments.size() > kHistoryDepth) {
-    h.segments.erase(h.segments.begin());
-  }
+  auto& segments = histories_[source];
+  segments.emplace(seq, std::vector<uint8_t>(data, data + len));
+  while (segments.size() > kHistoryDepth) segments.erase(segments.begin());
 }
 
 bool MulticastState::LookupHistory(uint64_t seq,
                                    std::vector<uint8_t>* out) const {
-  for (const auto& hp : histories_) {
-    std::lock_guard<std::mutex> lock(hp->mu);
-    auto it = hp->segments.find(seq);
-    if (it != hp->segments.end()) {
+  for (const auto& segments : histories_) {
+    auto it = segments.find(seq);
+    if (it != segments.end()) {
       *out = it->second;
       return true;
     }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -115,12 +114,8 @@ class MulticastState {
   RingSync credit_sync_;
   std::unique_ptr<std::atomic<uint32_t>[]> ends_seen_;
 
-  // Ordered mode retransmit history (per source).
-  struct History {
-    mutable std::mutex mu;
-    std::map<uint64_t, std::vector<uint8_t>> segments;
-  };
-  std::vector<std::unique_ptr<History>> histories_;
+  // Ordered mode retransmit history (per source): segment copies by seq.
+  std::vector<std::map<uint64_t, std::vector<uint8_t>>> histories_;
   static constexpr size_t kHistoryDepth = 4096;
 };
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,7 +45,7 @@ class GraphRun {
   /// no actor deadlocks on a dead peer.
   Status Finish();
 
-  /// First operator failure so far (OK while healthy). Threadsafe.
+  /// First operator failure so far (OK while healthy).
   Status status() const;
 
   // ---- kCustom endpoint claims -------------------------------------------
@@ -118,9 +117,8 @@ class GraphRun {
   bool started_ = false;
   bool finished_ = false;
 
-  mutable std::mutex mu_;
-  Status first_error_;                     // guarded by mu_
-  std::vector<VertexStats> vertex_stats_;  // guarded by mu_
+  Status first_error_;
+  std::vector<VertexStats> vertex_stats_;
 };
 
 }  // namespace dfi::graph

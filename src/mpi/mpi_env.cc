@@ -58,7 +58,6 @@ void MpiEnv::ChargeCallOverhead(int rank, VirtualClock* clock) {
 }
 
 MpiEnv::Mailbox& MpiEnv::mailbox(int src, int dst, int tag) {
-  std::lock_guard<std::mutex> lock(mailboxes_mu_);
   auto& slot = mailboxes_[{src, dst, tag}];
   if (!slot) slot = std::make_unique<Mailbox>();
   return *slot;
@@ -237,7 +236,6 @@ Status MpiEnv::Alltoall(int rank, const void* sendbuf, void* recvbuf,
 }
 
 StatusOr<MpiWindow*> MpiEnv::CreateWindow(size_t bytes) {
-  std::lock_guard<std::mutex> lock(windows_mu_);
   windows_.push_back(std::make_unique<MpiWindow>(this, bytes));
   return windows_.back().get();
 }

@@ -5,7 +5,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/exec/engine.h"
@@ -127,7 +126,6 @@ class MpiEnv {
   const ThreadMode mode_;
   const uint32_t threads_per_rank_;
 
-  std::mutex mailboxes_mu_;
   std::map<std::tuple<int, int, int>, std::unique_ptr<Mailbox>> mailboxes_;
 
   /// Per-rank MPI latch for MPI_THREAD_MULTIPLE (serializes calls in
@@ -138,7 +136,6 @@ class MpiEnv {
   BarrierState alltoall_enter_;
   BarrierState alltoall_exit_;
   std::vector<std::unique_ptr<MpiWindow>> windows_;
-  std::mutex windows_mu_;
 
   // Alltoall exchange area: per-rank buffer pointers for the current round.
   std::vector<const void*> a2a_send_;

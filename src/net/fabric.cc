@@ -16,7 +16,6 @@ Node::Node(NodeId id, std::string address, const SimConfig& config)
 Switch::Switch(const SimConfig& config) : config_(config) {}
 
 MulticastGroupId Switch::CreateGroup() {
-  std::lock_guard<std::mutex> lock(mu_);
   const MulticastGroupId id = static_cast<MulticastGroupId>(groups_.size());
   Group g;
   g.resource = std::make_unique<LinkScheduler>(
@@ -26,7 +25,6 @@ MulticastGroupId Switch::CreateGroup() {
 }
 
 Status Switch::JoinGroup(MulticastGroupId group, NodeId node) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (group >= groups_.size()) {
     return Status::NotFound("multicast group " + std::to_string(group));
   }
@@ -38,7 +36,6 @@ Status Switch::JoinGroup(MulticastGroupId group, NodeId node) {
 }
 
 std::vector<NodeId> Switch::GroupMembers(MulticastGroupId group) const {
-  std::lock_guard<std::mutex> lock(mu_);
   DFI_CHECK_LT(group, groups_.size());
   return groups_[group].members;
 }
@@ -47,8 +44,7 @@ TransferWindow Switch::ReserveGroup(MulticastGroupId group, SimTime ready,
                                     uint64_t bytes) {
   LinkScheduler* resource;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    DFI_CHECK_LT(group, groups_.size());
+      DFI_CHECK_LT(group, groups_.size());
     resource = groups_[group].resource.get();
   }
   return resource->Reserve(ready, bytes);
@@ -76,7 +72,6 @@ bool Switch::ShouldReorderDelivery(uint64_t key, NodeId target) const {
 }
 
 size_t Switch::group_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return groups_.size();
 }
 
@@ -86,23 +81,18 @@ Fabric::Fabric(SimConfig config)
 }
 
 StatusOr<NodeId> Fabric::AddNode(const std::string& address) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (by_address_.count(address) != 0) {
     return Status::AlreadyExists("node address " + address);
   }
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(std::make_unique<Node>(id, address, config_));
   by_address_[address] = id;
-  // Degraded-link modeling: every reservation on this node's links asks the
-  // fault plan for the rate factor at its ready time. No-op (and nearly
-  // free) while the plan is empty.
+  // Degraded-link modeling: while the fault plan is active, every
+  // reservation on this node's links asks it for the rate factor at its
+  // ready time. An empty plan costs one flag test.
   Node* n = nodes_.back().get();
-  const double base_gbps = config_.link_gbps;
-  auto probe = [this, id, base_gbps](SimTime at) {
-    return fault_plan_.LinkRateFactor(id, at, base_gbps);
-  };
-  n->egress().set_rate_probe(probe);
-  n->ingress().set_rate_probe(probe);
+  n->egress().set_fault_plan(&fault_plan_, id, config_.link_gbps);
+  n->ingress().set_fault_plan(&fault_plan_, id, config_.link_gbps);
   return id;
 }
 
@@ -118,19 +108,16 @@ std::vector<NodeId> Fabric::AddNodes(size_t n) {
 }
 
 Node& Fabric::node(NodeId id) {
-  std::lock_guard<std::mutex> lock(mu_);
   DFI_CHECK_LT(id, nodes_.size());
   return *nodes_[id];
 }
 
 const Node& Fabric::node(NodeId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   DFI_CHECK_LT(id, nodes_.size());
   return *nodes_[id];
 }
 
 StatusOr<NodeId> Fabric::ResolveAddress(const std::string& address) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = by_address_.find(address);
   if (it == by_address_.end()) {
     return Status::NotFound("node address " + address);
@@ -139,7 +126,6 @@ StatusOr<NodeId> Fabric::ResolveAddress(const std::string& address) const {
 }
 
 size_t Fabric::node_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return nodes_.size();
 }
 

@@ -1,11 +1,9 @@
 #ifndef DFI_NET_FABRIC_H_
 #define DFI_NET_FABRIC_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,20 +41,18 @@ class Node {
   /// later reading; debug builds assert, release builds clamp to zero.
   void AddRegisteredBytes(uint64_t bytes) { registered_bytes_ += bytes; }
   void SubRegisteredBytes(uint64_t bytes) {
-    uint64_t cur = registered_bytes_.load(std::memory_order_relaxed);
-    assert(cur >= bytes && "SubRegisteredBytes underflow");
-    while (!registered_bytes_.compare_exchange_weak(
-        cur, cur >= bytes ? cur - bytes : 0, std::memory_order_relaxed)) {
-    }
+    assert(registered_bytes_ >= bytes && "SubRegisteredBytes underflow");
+    registered_bytes_ =
+        registered_bytes_ >= bytes ? registered_bytes_ - bytes : 0;
   }
-  uint64_t registered_bytes() const { return registered_bytes_.load(); }
+  uint64_t registered_bytes() const { return registered_bytes_; }
 
  private:
   const NodeId id_;
   const std::string address_;
   LinkScheduler egress_;
   LinkScheduler ingress_;
-  std::atomic<uint64_t> registered_bytes_{0};
+  uint64_t registered_bytes_ = 0;
 };
 
 /// The single switch connecting all nodes. Hosts multicast groups: each
@@ -99,7 +95,6 @@ class Switch {
 
   const SimConfig& config_;
   const FaultPlan* fault_plan_ = nullptr;
-  mutable std::mutex mu_;
   std::vector<Group> groups_;
 };
 
@@ -138,7 +133,6 @@ class Fabric {
   const SimConfig config_;
   FaultPlan fault_plan_;
   Switch switch_;
-  mutable std::mutex mu_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unordered_map<std::string, NodeId> by_address_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "common/logging.h"
@@ -17,37 +18,47 @@ LinkScheduler::LinkScheduler(std::string name, double bytes_per_ns)
 
 TransferWindow LinkScheduler::Reserve(SimTime ready, uint64_t bytes) {
   double ns_per_byte = ns_per_byte_;
-  if (rate_probe_) {
-    // Probe outside mu_: the probe may take the fault plan's lock.
-    const double factor = std::clamp(rate_probe_(ready), 1e-6, 1.0);
+  if (fault_plan_ != nullptr && fault_plan_->active()) {
+    const double factor = std::clamp(
+        fault_plan_->LinkRateFactor(fault_node_, ready, base_gbps_), 1e-6,
+        1.0);
     ns_per_byte /= factor;
   }
   const SimTime duration = static_cast<SimTime>(
       std::llround(static_cast<double>(bytes) * ns_per_byte));
-  std::lock_guard<std::mutex> lock(mu_);
   busy_time_ += duration;
   total_bytes_ += bytes;
 
   // First-fit backfill: use the earliest idle gap that fits. Skipped
   // entirely — with identical results — when no gap can fit: every gap
-  // ends below busy_until_, so ready >= busy_until_ rules them all out,
-  // and max_gap_len_ bounds the longest gap from above.
+  // ends at or below busy_until_, so ready >= busy_until_ rules them all
+  // out, and max_gap_len_ bounds the longest gap from above.
   if (ready < busy_until_ && duration <= max_gap_len_) {
     // Gaps wholly before `ready` cannot serve this reservation (though a
-    // lagging thread may still use them later): start the walk at the
-    // first gap ending after `ready` instead of skipping over every stale
-    // gap — with many senders on one link the stale prefix dominates.
-    auto it = gaps_.lower_bound(ready);
-    if (it != gaps_.begin() && std::prev(it)->second > ready) --it;
+    // lagging actor may still use them later): start the walk at the first
+    // gap ending after `ready` instead of skipping over every stale gap —
+    // with many senders on one link the stale prefix dominates.
+    const auto first = gaps_.begin() + static_cast<ptrdiff_t>(head_);
+    auto it = std::lower_bound(
+        first, gaps_.end(), ready,
+        [](const Gap& gap, SimTime t) { return gap.start < t; });
+    if (it != first && std::prev(it)->end > ready) --it;
     for (; it != gaps_.end(); ++it) {
-      const SimTime gap_start = it->first;
-      const SimTime gap_end = it->second;
-      const SimTime start = std::max(ready, gap_start);
-      if (start + duration > gap_end) continue;  // does not fit
+      const Gap gap = *it;
+      const SimTime start = std::max(ready, gap.start);
+      if (start + duration > gap.end) continue;  // does not fit
       const SimTime end = start + duration;
-      gaps_.erase(it);
-      if (start > gap_start) gaps_.emplace(gap_start, start);
-      if (end < gap_end) gaps_.emplace(end, gap_end);
+      if (start > gap.start) {
+        it->end = start;  // keep the left part in place
+        if (end < gap.end) {
+          InsertGap(static_cast<size_t>(it - gaps_.begin()) + 1,
+                    Gap{end, gap.end});
+        }
+      } else if (end < gap.end) {
+        it->start = end;  // keep the right part in place
+      } else {
+        gaps_.erase(it);
+      }
       return {start, end};
     }
   }
@@ -56,27 +67,23 @@ TransferWindow LinkScheduler::Reserve(SimTime ready, uint64_t bytes) {
   const SimTime start = std::max(ready, busy_until_);
   const SimTime end = start + duration;
   if (start > busy_until_) {
-    gaps_.emplace(busy_until_, start);
+    InsertGap(gaps_.size(), Gap{busy_until_, start});
     max_gap_len_ = std::max(max_gap_len_, start - busy_until_);
-    if (gaps_.size() > kMaxGaps) gaps_.erase(gaps_.begin());
+    if (gaps_.size() - head_ > kMaxGaps) ++head_;  // evict the oldest
   }
   busy_until_ = end;
   return {start, end};
 }
 
-SimTime LinkScheduler::busy_until() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return busy_until_;
-}
-
-uint64_t LinkScheduler::total_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_bytes_;
-}
-
-SimTime LinkScheduler::busy_time() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return busy_time_;
+void LinkScheduler::InsertGap(size_t pos, Gap gap) {
+  if (gaps_.size() == gaps_.capacity() && head_ > 0 &&
+      2 * head_ >= gaps_.size()) {
+    // Full: reclaim the evicted prefix instead of growing.
+    gaps_.erase(gaps_.begin(), gaps_.begin() + static_cast<ptrdiff_t>(head_));
+    pos -= head_;
+    head_ = 0;
+  }
+  gaps_.insert(gaps_.begin() + static_cast<ptrdiff_t>(pos), gap);
 }
 
 }  // namespace dfi::net

@@ -1,13 +1,13 @@
 #ifndef DFI_NET_LINK_H_
 #define DFI_NET_LINK_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/sim_time.h"
+#include "net/fault_plan.h"
 
 namespace dfi::net {
 
@@ -25,12 +25,15 @@ struct TransferWindow {
 ///   start >= ready,  end = start + bytes * ns_per_byte
 ///
 /// Back-to-back reservations model a saturated link; competing
-/// reservations from many threads share the link by *virtual* readiness
-/// rather than by real-time call order, which keeps results insensitive to
-/// host thread scheduling. Incast and fan-out bottlenecks emerge from
-/// reserving the corresponding ingress / egress schedulers (DESIGN.md §5).
+/// reservations from many actors share the link by *virtual* readiness
+/// rather than by call order, which keeps results insensitive to the order
+/// the engine happens to run them in. Incast and fan-out bottlenecks emerge
+/// from reserving the corresponding ingress / egress schedulers (DESIGN.md
+/// §5).
 ///
-/// Thread-safe; called concurrently by all worker threads.
+/// Not thread-safe: every actor runs on the engine's one OS thread. A
+/// reservation takes no lock and, once the gap store has reached its
+/// working size, allocates nothing.
 class LinkScheduler {
  public:
   /// `bytes_per_ns`: capacity (e.g. 12.5 for a 100 Gbps link).
@@ -43,47 +46,68 @@ class LinkScheduler {
   /// `ready` (virtual ns). Returns the occupied window.
   TransferWindow Reserve(SimTime ready, uint64_t bytes);
 
-  /// Rate multiplier in (0, 1] queried per reservation at its ready time;
-  /// fault plans use this to model link degradation (a 0.1 factor makes
-  /// every transfer 10x longer). Install during fabric wiring, before any
-  /// traffic; absent probe means full speed with no query cost.
-  using RateProbe = std::function<double(SimTime)>;
-  void set_rate_probe(RateProbe probe) { rate_probe_ = std::move(probe); }
+  /// Models link degradation: while `plan` is active, every reservation
+  /// scales its duration by 1 / `plan->LinkRateFactor(node, ready,
+  /// base_gbps)` (a 0.1 factor makes every transfer 10x longer). Install
+  /// during fabric wiring, before any traffic; without a plan, or while it
+  /// is empty, the link runs at full speed with no query cost.
+  void set_fault_plan(const FaultPlan* plan, NodeId node, double base_gbps) {
+    fault_plan_ = plan;
+    fault_node_ = node;
+    base_gbps_ = base_gbps;
+  }
 
   /// Virtual time at which the link becomes idle given current reservations.
-  SimTime busy_until() const;
+  SimTime busy_until() const { return busy_until_; }
 
   /// Total bytes ever reserved (conservation-law checks in tests).
-  uint64_t total_bytes() const;
+  uint64_t total_bytes() const { return total_bytes_; }
 
   /// Total virtual time the link was actually occupied (busy time), which
   /// can be less than busy_until() if there were idle gaps.
-  SimTime busy_time() const;
+  SimTime busy_time() const { return busy_time_; }
 
   const std::string& name() const { return name_; }
   double bytes_per_ns() const { return bytes_per_ns_; }
 
+  /// Most idle gaps kept for backfill; adding a tail gap beyond this drops
+  /// the oldest (lowest) one. Splits may leave more gaps live for a while.
+  static constexpr size_t kMaxGaps = 128;
+
  private:
+  /// Idle interval [start, end) left behind by an out-of-order reservation.
+  struct Gap {
+    SimTime start;
+    SimTime end;
+  };
+
+  /// Inserts `gap` before gaps_[pos] (head_ <= pos <= gaps_.size()). A
+  /// full vector first drops its evicted prefix if that frees at least half
+  /// of it, so the store grows only when live gaps fill half of it.
+  void InsertGap(size_t pos, Gap gap);
+
   const std::string name_;
   const double ns_per_byte_;
   const double bytes_per_ns_;
-  RateProbe rate_probe_;
+  const FaultPlan* fault_plan_ = nullptr;
+  NodeId fault_node_ = 0;
+  double base_gbps_ = 0.0;
 
-  mutable std::mutex mu_;
   SimTime busy_until_ = 0;
   SimTime busy_time_ = 0;
   uint64_t total_bytes_ = 0;
-  /// Idle intervals (start -> end) left behind by out-of-order
-  /// reservations, available for backfill. Bounded (oldest dropped).
-  /// Invariant: every gap lies strictly below busy_until_.
-  std::map<SimTime, SimTime> gaps_;
-  /// Upper bound on the length of the longest gap in gaps_ (lengths only
+  /// Live gaps are gaps_[head_, gaps_.size()), disjoint and sorted by
+  /// start. Evicting the oldest gap advances head_; the evicted prefix is
+  /// reclaimed only when the vector is full. Invariant: every gap starts
+  /// below busy_until_.
+  std::vector<Gap> gaps_;
+  size_t head_ = 0;
+  /// Upper bound on the length of the longest live gap (lengths only
   /// shrink on split/erase, so the bound stays valid without recomputing).
   /// Lets Reserve skip the first-fit walk outright for transmissions
   /// longer than any gap — the common case once a link saturates and gaps
   /// are sub-segment slivers.
   SimTime max_gap_len_ = 0;
-  static constexpr size_t kMaxGaps = 128;
 };
 
 }  // namespace dfi::net

@@ -25,26 +25,17 @@ Status UdQueuePair::AttachMulticast(net::MulticastGroupId group) {
 }
 
 void UdQueuePair::PostRecv(void* buf, uint32_t length, uint64_t wr_id) {
-  std::lock_guard<std::mutex> lock(mu_);
   recv_queue_.push_back(RecvWqe{buf, length, wr_id});
 }
 
 bool UdQueuePair::Deliver(const void* buf, uint32_t length, SimTime arrival,
                           net::NodeId src, uint64_t key) {
-  RecvWqe wqe;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (recv_queue_.empty()) {
-      drops_no_recv_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    wqe = recv_queue_.front();
-    if (length > wqe.length) {
-      drops_no_recv_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    recv_queue_.pop_front();
+  if (recv_queue_.empty() || length > recv_queue_.front().length) {
+    ++drops_no_recv_;
+    return false;
   }
+  const RecvWqe wqe = recv_queue_.front();
+  recv_queue_.pop_front();
   DmaCopy(wqe.buf, buf, length);
   DFI_CHECK(recv_cq_ != nullptr) << "UD delivery on QP without recv CQ";
   const Completion completion{wqe.wr_id, WorkType::kRecv, arrival, length,
@@ -54,16 +45,13 @@ bool UdQueuePair::Deliver(const void* buf, uint32_t length, SimTime arrival,
   // *behind* it — the receiver observes genuine out-of-order arrival.
   std::optional<Completion> release;
   bool hold = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (held_completion_.has_value()) {
-      release = held_completion_;
-      held_completion_.reset();
-    } else if (env_->fabric().network_switch().ShouldReorderDelivery(key,
-                                                                     local_)) {
-      held_completion_ = completion;
-      hold = true;
-    }
+  if (held_completion_.has_value()) {
+    release = held_completion_;
+    held_completion_.reset();
+  } else if (env_->fabric().network_switch().ShouldReorderDelivery(key,
+                                                                   local_)) {
+    held_completion_ = completion;
+    hold = true;
   }
   if (!hold) recv_cq_->Push(completion);
   if (release.has_value()) recv_cq_->Push(*release);
@@ -192,7 +180,6 @@ StatusOr<OpTiming> UdQueuePair::PostSendMulticast(net::MulticastGroupId group,
 }
 
 size_t UdQueuePair::posted_recvs() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return recv_queue_.size();
 }
 

@@ -13,10 +13,7 @@ RegistryClient::RegistryClient(RegistryService* service,
     : service_(service), options_(options), clock_(clock) {
   DFI_CHECK(service_ != nullptr);
   const uint32_t shards = service_->options().num_shards;
-  conns_.reserve(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
-    conns_.push_back(std::make_unique<ShardConn>());
-  }
+  next_seq_.assign(shards, 0);
   shard_epochs_.assign(shards, 1);
 }
 
@@ -30,7 +27,6 @@ void RegistryClient::SleepUntilVt(SimTime from, SimTime until) {
 }
 
 void RegistryClient::ObserveEpoch(ShardId shard, Epoch epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (epoch <= shard_epochs_[shard]) return;
   stats_.failovers += epoch - shard_epochs_[shard];
   shard_epochs_[shard] = epoch;
@@ -50,7 +46,6 @@ Status RegistryClient::CacheLookup(const std::string& name,
   const ShardId shard = service_->ShardOf(name);
   const ShardView view = service_->ViewAt(shard, NowVt());
   ObserveEpoch(shard, view.epoch);
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(name);
   if (it == cache_.end()) {
     ++stats_.cache_misses;
@@ -71,7 +66,6 @@ Status RegistryClient::CacheLookup(const std::string& name,
 void RegistryClient::CacheInsert(const std::string& name, ShardId shard,
                                  const OpResult& r) {
   if (!options_.enable_cache || !r.status.ok() || r.state == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
   CacheEntry e;
   e.state = r.state;
   e.shard = shard;
@@ -81,32 +75,25 @@ void RegistryClient::CacheInsert(const std::string& name, ShardId shard,
 
 void RegistryClient::CacheErase(const std::string& name) {
   if (!options_.enable_cache) return;
-  std::lock_guard<std::mutex> lock(mu_);
   cache_.erase(name);
 }
 
-RegistryClientStats RegistryClient::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
+RegistryClientStats RegistryClient::stats() const { return stats_; }
 
 Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
                                          std::vector<OpResult>* results) {
   results->clear();
   if (ops.empty()) return Status::OK();
-  ShardConn& conn = *conns_[shard];
-  std::lock_guard<std::mutex> conn_lock(conn.mu);
-
   BatchRequest req;
   req.client_id = options_.client_id;
   req.client_node = options_.node;
   req.shard = shard;
-  req.base_seq = conn.next_seq;
+  req.base_seq = next_seq_[shard];
   req.ops = std::move(ops);
   // Sequence numbers are consumed whether or not the batch lands: a later
   // batch after a give-up jumps the dedup window forward (the shards accept
   // forward jumps, they only reject re-use).
-  conn.next_seq = req.base_seq + req.ops.size();
+  next_seq_[shard] = req.base_seq + req.ops.size();
 
   SimTime now = NowVt();
   const SimTime deadline = now + kRetryDeadlineNs;
@@ -121,10 +108,7 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
       return Status::PeerFailed("registry shard " + std::to_string(shard) +
                                 ": every replica has crashed");
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rpcs;
-    }
+    ++stats_.rpcs;
     BatchResult res = service_->Execute(req, now);
     if (res.transport.ok() && !res.wrong_primary) {
       ObserveEpoch(shard, res.epoch);
@@ -152,10 +136,7 @@ Status RegistryClient::ExecuteShardBatch(ShardId shard, std::vector<Op> ops,
     // Silence: the target was dead, unreachable, or died mid-batch. Back
     // off (capped exponential) and retry at whoever is primary by then —
     // the dedup windows make the retry exactly-once.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.retries;
-    }
+    ++stats_.retries;
     const SimTime observed = std::max(now, res.complete_at);
     const SimTime wake = observed + backoff;
     backoff = std::min(backoff * 2, kBackoffCapNs);

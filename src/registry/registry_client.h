@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -52,15 +51,13 @@ struct RegistryClientStats {
 /// retrieved flow state (fenced by shard epoch), follows wrong-primary
 /// redirects, and turns observed silence into deadline-bounded retries with
 /// capped exponential backoff. The only waiting is the retry backoff: a
-/// virtual-time park inside an engine task, a plain clock charge on an OS
-/// thread.
+/// virtual-time park inside an engine task.
 ///
-/// Concurrency: a client serializes its traffic to each shard (one logical
-/// FIFO connection per shard — the dedup windows require per-client
-/// sequence numbers to arrive in order). Give each emulated actor its own
-/// client (distinct client_id); sharing one client across engine fibers is
-/// only safe in loopback mode, where no call ever parks while holding the
-/// connection.
+/// Concurrency: a client keeps one logical FIFO connection per shard — the
+/// dedup windows require per-client sequence numbers to arrive in order.
+/// Give each emulated actor its own client (distinct client_id); sharing
+/// one client across engine fibers is only safe in loopback mode, where no
+/// call ever parks in the middle of a batch.
 class RegistryClient {
  public:
   explicit RegistryClient(RegistryService* service,
@@ -97,12 +94,6 @@ class RegistryClient {
     Epoch epoch = 0;
   };
 
-  /// One logical connection to a shard: FIFO, per-client sequence numbers.
-  struct ShardConn {
-    std::mutex mu;
-    uint64_t next_seq = 0;
-  };
-
   SimTime NowVt() const { return clock_ ? clock_->now() : 0; }
 
   /// Sends `ops` (all owned by `shard`) as one batch; retries through
@@ -120,9 +111,8 @@ class RegistryClient {
   /// advance as failovers and fences the cache.
   void ObserveEpoch(ShardId shard, Epoch epoch);
 
-  /// Deterministic virtual sleep until `until` (engine: parks on a private
-  /// WaitPoint with a timer; thread: no-op beyond the clock charge — the
-  /// registry tests run retries on plain threads).
+  /// Deterministic virtual sleep until `until`: parks on a private
+  /// WaitPoint with a timer, then charges the clock.
   void SleepUntilVt(SimTime from, SimTime until);
 
   Status CacheLookup(const std::string& name,
@@ -137,9 +127,9 @@ class RegistryClient {
   const RegistryClientOptions options_;
   VirtualClock* const clock_;
 
-  std::vector<std::unique_ptr<ShardConn>> conns_;  // one per shard
+  /// Next per-client sequence number of each shard's logical connection.
+  std::vector<uint64_t> next_seq_;
 
-  mutable std::mutex mu_;  // cache + epochs + stats
   std::unordered_map<std::string, CacheEntry> cache_;
   std::vector<Epoch> shard_epochs_;  // highest epoch observed per shard
   RegistryClientStats stats_;

@@ -293,26 +293,23 @@ BatchResult RegistryService::Execute(const BatchRequest& request,
   const SimTime crash_t =
       loop ? net::FaultPlan::kNever
            : fabric_->fault_plan().CrashTime(target_node);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    out.results.reserve(request.ops.size());
-    for (size_t i = 0; i < request.ops.size(); ++i) {
-      const SimTime t_i = t_arrive + per_op * static_cast<SimTime>(i + 1);
-      if (crash_t <= t_i) {
-        // The primary died mid-batch: the prefix it reached is applied and
-        // replicated, the rest is lost, and no reply ever leaves the node.
-        // The client observes silence and retries; the dedup windows turn
-        // that retry into exactly-once.
-        out.results.clear();
-        out.transport = Status::Unavailable(
-            "registry shard " + std::to_string(request.shard) +
-            " primary crashed mid-batch");
-        out.complete_at = std::max(observe_silence, crash_t);
-        return out;
-      }
-      out.results.push_back(ApplyWithDedup(&shard, request.shard, primary,
-                                           request, i, t_i, out.epoch));
+  out.results.reserve(request.ops.size());
+  for (size_t i = 0; i < request.ops.size(); ++i) {
+    const SimTime t_i = t_arrive + per_op * static_cast<SimTime>(i + 1);
+    if (crash_t <= t_i) {
+      // The primary died mid-batch: the prefix it reached is applied and
+      // replicated, the rest is lost, and no reply ever leaves the node.
+      // The client observes silence and retries; the dedup windows turn
+      // that retry into exactly-once.
+      out.results.clear();
+      out.transport = Status::Unavailable(
+          "registry shard " + std::to_string(request.shard) +
+          " primary crashed mid-batch");
+      out.complete_at = std::max(observe_silence, crash_t);
+      return out;
     }
+    out.results.push_back(ApplyWithDedup(&shard, request.shard, primary,
+                                         request, i, t_i, out.epoch));
   }
 
   const SimTime t_done =
@@ -343,7 +340,6 @@ size_t RegistryService::TotalFlows(SimTime at) const {
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
     const uint32_t primary = PrimaryIndexAt(s, at);
     if (primary == UINT32_MAX) continue;
-    std::lock_guard<std::mutex> lock(shards_[s]->mu);
     total += shards_[s]->replicas[primary]->flows.size();
   }
   return total;
@@ -352,7 +348,6 @@ size_t RegistryService::TotalFlows(SimTime at) const {
 std::vector<RegistryEvent> RegistryService::Events() const {
   std::vector<RegistryEvent> all;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
     all.insert(all.end(), shard->events.begin(), shard->events.end());
   }
   std::sort(all.begin(), all.end(),

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -130,17 +129,16 @@ class RegistryService {
   };
 
   struct Shard {
-    mutable std::mutex mu;
     std::vector<std::unique_ptr<Replica>> replicas;
     std::vector<RegistryEvent> events;  // iff record_trace
   };
 
   /// Executes `op` against `replica`'s flows (no dedup bookkeeping — the
-  /// caller owns the window and holds the shard mutex).
+  /// caller owns the window).
   static OpResult ApplyOp(Replica* replica, const Op& op);
 
   /// Applies one op with dedup at the primary and replicates it to live
-  /// backups. Caller holds the shard mutex.
+  /// backups.
   OpResult ApplyWithDedup(Shard* shard, ShardId shard_id, uint32_t primary,
                           const BatchRequest& request, size_t op_index,
                           SimTime at, Epoch epoch);
